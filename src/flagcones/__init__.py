@@ -19,8 +19,6 @@ from .bundles import (
     SplitBundle,
     hn_brute_force_oracle,
     hn_filtration,
-    is_semistable,
-    slope,
     validate_hn,
 )
 from .config import DivisorInput, ProblemConfig, SummandSpec, parse_config, parse_rational
@@ -81,10 +79,7 @@ from .seshadri import (
     Witness,
     check_divisibility,
     degree_gaps,
-    epsilon_at_section,
-    epsilon_constant_case,
     epsilon_general_point,
-    epsilon_global,
     full_report,
     grassmann_pseff_generators,
     seshadri_bounds,

@@ -84,7 +84,11 @@ class SplitBundle:
 
 @dataclass(frozen=True)
 class SemistablePiece:
-    """One semistable graded piece of a filtration."""
+    """One semistable graded piece of a filtration.
+
+    >>> SemistablePiece(5, 3).slope
+    Fraction(3, 5)
+    """
 
     rank: int
     degree: int
@@ -191,20 +195,6 @@ class HNFiltration:
     def step_pairs(self) -> tuple[tuple[int, int], ...]:
         """Steps as plain ``(rank, degree)`` pairs."""
         return tuple((step.rank, step.degree) for step in self.steps)
-
-
-def slope(piece) -> Fraction:
-    """Exact degree/rank of any value exposing integer rank and degree.
-
-    >>> slope(SemistablePiece(5, 3))
-    Fraction(3, 5)
-    """
-    return Fraction(piece.degree, piece.rank)
-
-
-def is_semistable(bundle: SplitBundle) -> bool:
-    """True when all summand degrees coincide (length-1 filtration)."""
-    return len(set(bundle.summand_degrees)) == 1
 
 
 def hn_filtration(bundle: SplitBundle) -> HNFiltration:

@@ -28,7 +28,7 @@ from .errors import (
     InputError,
 )
 from .gallery import builtin_examples, check_fixture, find_fixture
-from .report import render, run, run_cones, run_hn, worst_exit_code
+from .report import render, run, run_cones, run_hn, to_json, worst_exit_code
 from .selftest import run_selftest
 
 
@@ -40,36 +40,10 @@ def _load_config(path: str):
     return parse_config(text)
 
 
-def _cmd_hn(args) -> int:
-    doc = run_hn(_load_config(args.config))
-    print(render(doc, machine=args.machine), end="")
-    return EXIT_OK
-
-
-def _cmd_cones(args) -> int:
-    doc = run_cones(_load_config(args.config))
-    print(render(doc, machine=args.machine), end="")
-    return EXIT_OK
-
-
-def _cmd_seshadri(args) -> int:
-    doc = run(_load_config(args.config))
+def _cmd_report(args) -> int:
+    doc = args.runner(_load_config(args.config))
     print(render(doc, machine=args.machine), end="")
     return worst_exit_code(doc)
-
-
-def _digest_json(digest) -> dict:
-    slope = digest.slope
-    return {
-        "hn_steps": [list(s) for s in digest.hn_steps],
-        "slope": (
-            int(slope)
-            if slope.denominator == 1
-            else f"{slope.numerator}/{slope.denominator}"
-        ),
-        "picard_rank": digest.picard_rank,
-        "assumption_holds": digest.assumption_holds,
-    }
 
 
 def _cmd_examples(args) -> int:
@@ -88,8 +62,8 @@ def _cmd_examples(args) -> int:
             {
                 "name": fixture.name,
                 "pass": ok,
-                "expected": _digest_json(fixture.digest),
-                "actual": _digest_json(actual),
+                "expected": to_json(fixture.digest),
+                "actual": to_json(actual),
             }
             for fixture, _, actual, ok in results
         ]
@@ -118,16 +92,7 @@ def _cmd_selftest(args) -> int:
         seed=args.seed, oracle_cap=args.oracle_cap, trials=args.trials
     )
     if args.machine:
-        payload = [
-            {
-                "name": r.name,
-                "trials": r.trials,
-                "failures": r.failures,
-                "detail": r.detail,
-            }
-            for r in results
-        ]
-        print(json.dumps(payload, indent=2))
+        print(json.dumps([to_json(r) for r in results], indent=2))
     else:
         width = max(len(r.name) for r in results)
         for r in results:
@@ -157,20 +122,15 @@ def build_parser() -> argparse.ArgumentParser:
             "--machine", action="store_true", help="structured JSON output"
         )
 
-    p_hn = sub.add_parser("hn", help="filtration only")
-    p_hn.add_argument("config", help="path to a JSON problem config")
-    add_common(p_hn)
-    p_hn.set_defaults(func=_cmd_hn)
-
-    p_cones = sub.add_parser("cones", help="cone generators and pairing matrix")
-    p_cones.add_argument("config", help="path to a JSON problem config")
-    add_common(p_cones)
-    p_cones.set_defaults(func=_cmd_cones)
-
-    p_ses = sub.add_parser("seshadri", help="full Seshadri report")
-    p_ses.add_argument("config", help="path to a JSON problem config")
-    add_common(p_ses)
-    p_ses.set_defaults(func=_cmd_seshadri)
+    for name, runner, help_text in (
+        ("hn", run_hn, "filtration only"),
+        ("cones", run_cones, "cone generators and pairing matrix"),
+        ("seshadri", run, "full Seshadri report"),
+    ):
+        p_report = sub.add_parser(name, help=help_text)
+        p_report.add_argument("config", help="path to a JSON problem config")
+        add_common(p_report)
+        p_report.set_defaults(func=_cmd_report, runner=runner)
 
     p_ex = sub.add_parser("examples", help="run built-in fixtures")
     p_ex.add_argument("name", nargs="?", help="run a single fixture by name")

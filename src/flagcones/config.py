@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -32,7 +33,36 @@ from .flags import Basis
 _RATIONAL = re.compile(r"[+-]?\d+(/\d+)?\Z")
 
 
-def parse_rational(value, location: str = "value") -> Fraction:
+def _too_many_digits() -> str:
+    return f"integer has more than {sys.get_int_max_str_digits()} digits"
+
+
+def _unique_keys(pairs: list) -> dict:
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        keys = [key for key, _ in pairs]
+        duplicate = next(key for key in keys if keys.count(key) > 1)
+        raise ParseError(f"duplicate key {duplicate!r}")
+    return obj
+
+
+def load_json(text: str):
+    """Decode a JSON document; every failure is a :class:`ParseError`.
+
+    Duplicate object keys, integers longer than the interpreter's digit
+    limit and nesting deeper than its recursion limit are rejected too.
+    """
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except json.JSONDecodeError as exc:
+        raise ParseError(exc.msg, f"line {exc.lineno}, column {exc.colno}") from None
+    except ValueError:
+        raise ParseError(_too_many_digits()) from None
+    except RecursionError:
+        raise ParseError("document is nested too deeply") from None
+
+
+def parse_rational(value, location: str | None = "value") -> Fraction:
     """Exact rational from an int or a ``"p/q"`` string."""
     if isinstance(value, bool):
         raise ParseError("expected a rational, got a boolean", location)
@@ -47,11 +77,13 @@ def parse_rational(value, location: str = "value") -> Fraction:
         if not _RATIONAL.match(text):
             raise ParseError(f"not a rational: {value!r}", location)
         numerator, _, denominator = text.partition("/")
-        if denominator:
-            if int(denominator) == 0:
-                raise ParseError("zero denominator", location)
-            return Fraction(int(numerator), int(denominator))
-        return Fraction(int(numerator))
+        try:
+            numerator, denominator = int(numerator), int(denominator or 1)
+        except ValueError:
+            raise ParseError(_too_many_digits(), location) from None
+        if denominator == 0:
+            raise ParseError("zero denominator", location)
+        return Fraction(numerator, denominator)
     raise ParseError(f"not a rational: {value!r}", location)
 
 
@@ -223,11 +255,7 @@ def _parse_divisors(data) -> tuple[DivisorInput, ...]:
 
 def parse_config(text: str) -> ProblemConfig:
     """Parse and validate a JSON problem document."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(exc.msg, f"line {exc.lineno}, column {exc.colno}") from None
-    root = _require_object(data, "document", {"curve", "bundle", "flag", "divisors"})
+    root = _require_object(load_json(text), "document", {"curve", "bundle", "flag", "divisors"})
     if "bundle" not in root:
         raise ValidationError("document: missing 'bundle'")
     if "flag" not in root:

@@ -30,6 +30,7 @@ class ParseError(InputError):
     """A document could not be parsed; carries a location when one is known."""
 
     def __init__(self, message: str, location: str | None = None):
+        self.message = message
         self.location = location
         super().__init__(f"{location}: {message}" if location else message)
 

@@ -7,16 +7,18 @@ followed by :func:`parse_machine` reproduces the document exactly, and
 identical configs produce byte-identical output.
 """
 
-from __future__ import annotations
-
+import dataclasses
+import functools
+import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from types import UnionType
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 from . import seshadri as sesh
-from .bundles import HNFiltration, SplitBundle, hn_filtration, validate_hn
-from .config import ProblemConfig, parse_rational
+from .bundles import CurveInfo, HNFiltration, SplitBundle, hn_filtration, validate_hn
+from .config import ProblemConfig, load_json, parse_rational
 from .errors import (
     EXIT_OK,
     FlagconesError,
@@ -53,8 +55,7 @@ class ModelSummary:
     """Bundle, filtration and flag data; flag fields are None when only
     the filtration was requested."""
 
-    curve_genus: int
-    curve_label: str
+    curve: CurveInfo
     hn_steps: tuple[tuple[int, int], ...]
     rank: int
     degree: int
@@ -62,22 +63,22 @@ class ModelSummary:
     semistable: bool
     quotient_slopes: tuple[Fraction, ...]
     quotient_ranks: tuple[int, ...]
-    flag_ranks: Optional[tuple[int, ...]]
-    hn_indices: Optional[tuple[int, ...]]
-    subspace_dims: Optional[tuple[int, ...]]
-    quotient_degrees: Optional[tuple[int, ...]]
-    picard_rank: Optional[int]
-    fiber_dimension: Optional[int]
-    total_dimension: Optional[int]
-    notes: dict[str, str]
+    flag_ranks: Optional[tuple[int, ...]] = None
+    hn_indices: Optional[tuple[int, ...]] = None
+    subspace_dims: Optional[tuple[int, ...]] = None
+    quotient_degrees: Optional[tuple[int, ...]] = None
+    picard_rank: Optional[int] = None
+    fiber_dimension: Optional[int] = None
+    total_dimension: Optional[int] = None
+    notes: dict[str, str] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
 class DivisorGeneratorInfo:
     name: str
     label: str
-    nef_coords: tuple[Fraction, ...]
-    pluecker_coords: tuple[Fraction, ...]
+    nef: tuple[Fraction, ...]
+    pluecker: tuple[Fraction, ...]
 
 
 @dataclass(frozen=True)
@@ -107,25 +108,19 @@ class WitnessInfo:
 
 
 @dataclass(frozen=True)
-class FailureInfo:
-    index: int
-    reason: str
-
-
-@dataclass(frozen=True)
 class AssumptionSection:
     holds: bool
     witnesses: tuple[WitnessInfo, ...]
-    failures: tuple[FailureInfo, ...]
+    failures: tuple[sesh.Failure, ...]
 
 
 @dataclass(frozen=True)
 class SeshadriSummary:
     lower: Fraction
     upper: Fraction
-    epsilon_global: Fraction
-    epsilon_at_section: Fraction
-    epsilon_general: Optional[Fraction]
+    epsilon_global: Fraction = field(metadata={"json": "global"})
+    epsilon_at_section: Fraction = field(metadata={"json": "at_section"})
+    epsilon_general: Optional[Fraction] = field(metadata={"json": "general"})
     general_rule: str
     notes: dict[str, str]
 
@@ -154,9 +149,9 @@ class DivisorEntry:
 class ReportDocument:
     spec_version: int
     model: ModelSummary
-    cones: Optional[ConesSection]
-    assumption: Optional[AssumptionSection]
-    divisors: Optional[tuple[DivisorEntry, ...]]
+    cones: Optional[ConesSection] = None
+    assumption: Optional[AssumptionSection] = None
+    divisors: Optional[tuple[DivisorEntry, ...]] = None
 
 
 # ---------------------------------------------------------------------------
@@ -193,18 +188,8 @@ def assert_duality(model: FlagModel) -> tuple[tuple[Fraction, ...], ...]:
 def _model_summary(
     config: ProblemConfig, hn: HNFiltration, model: Optional[FlagModel]
 ) -> ModelSummary:
-    if model is None:
-        flag_fields = dict(
-            flag_ranks=None,
-            hn_indices=None,
-            subspace_dims=None,
-            quotient_degrees=None,
-            picard_rank=None,
-            fiber_dimension=None,
-            total_dimension=None,
-            notes={},
-        )
-    else:
+    flag_fields = {}
+    if model is not None:
         flag_fields = dict(
             flag_ranks=model.spec.quotient_ranks,
             hn_indices=model.spec.hn_indices,
@@ -216,8 +201,7 @@ def _model_summary(
             notes={"dimensions": DIMENSION_NOTE},
         )
     return ModelSummary(
-        curve_genus=config.curve.genus,
-        curve_label=config.curve.label,
+        curve=config.curve,
         hn_steps=hn.step_pairs(),
         rank=hn.n,
         degree=hn.degree,
@@ -235,8 +219,8 @@ def _cones_section(model: FlagModel) -> ConesSection:
         DivisorGeneratorInfo(
             name=g.name,
             label=g.label,
-            nef_coords=g.coords,
-            pluecker_coords=convert_basis(g, model).coords,
+            nef=g.coords,
+            pluecker=convert_basis(g, model).coords,
         )
         for g in nef_generators(model)
     )
@@ -258,73 +242,51 @@ def _assumption_section(status: sesh.DivisibilityStatus, model: FlagModel) -> As
             witnesses.append(
                 WitnessInfo(i, r, w.hn_index, w.subbundle_degree, w.divisible)
             )
-    failures = tuple(FailureInfo(f.index, f.reason) for f in status.failures)
-    return AssumptionSection(status.holds, tuple(witnesses), failures)
+    return AssumptionSection(status.holds, tuple(witnesses), status.failures)
 
 
 def _divisor_entry(spec, model: FlagModel) -> DivisorEntry:
+    """Evaluate one divisor; the fields reached before a failure are kept."""
     divisor = DivisorClass(spec.basis, spec.coords, name=spec.name)
+    nef_coords = classification = summary = error = None
     try:
         converted = to_nef(divisor, model)
-    except FlagconesError as exc:
-        return DivisorEntry(
-            name=spec.name,
-            basis=spec.basis.value,
-            coords=spec.coords,
-            nef_coords=None,
-            classification=None,
-            seshadri=None,
-            error=ErrorInfo(type(exc).__name__, str(exc)),
-        )
-    classification = classify_divisor(converted, model)
-    try:
+        nef_coords = converted.coords
+        classification = classify_divisor(converted, model).value
         report = sesh.full_report(converted, model)
-    except FlagconesError as exc:
-        return DivisorEntry(
-            name=spec.name,
-            basis=spec.basis.value,
-            coords=spec.coords,
-            nef_coords=converted.coords,
-            classification=classification.value,
-            seshadri=None,
-            error=ErrorInfo(type(exc).__name__, str(exc)),
+        summary = SeshadriSummary(
+            lower=report.lower,
+            upper=report.upper,
+            epsilon_global=report.epsilon_global,
+            epsilon_at_section=report.epsilon_at_section,
+            epsilon_general=report.epsilon_general,
+            general_rule=report.general_rule,
+            notes=dict(report.notes),
         )
-    summary = SeshadriSummary(
-        lower=report.lower,
-        upper=report.upper,
-        epsilon_global=report.epsilon_global,
-        epsilon_at_section=report.epsilon_at_section,
-        epsilon_general=report.epsilon_general,
-        general_rule=report.general_rule,
-        notes=dict(report.notes),
-    )
+    except FlagconesError as exc:
+        error = ErrorInfo(type(exc).__name__, str(exc))
     return DivisorEntry(
         name=spec.name,
         basis=spec.basis.value,
         coords=spec.coords,
-        nef_coords=converted.coords,
-        classification=classification.value,
+        nef_coords=nef_coords,
+        classification=classification,
         seshadri=summary,
-        error=None,
+        error=error,
     )
 
 
 def run_hn(config: ProblemConfig) -> ReportDocument:
     """Filtration-only report; the flag section of the config is ignored."""
     hn = filtration_from_config(config)
-    return ReportDocument(SPEC_VERSION, _model_summary(config, hn, None), None, None, None)
+    return ReportDocument(SPEC_VERSION, _model_summary(config, hn, None))
 
 
 def run_cones(config: ProblemConfig) -> ReportDocument:
     """Model plus cone generators and the (verified) pairing matrix."""
-    hn = filtration_from_config(config)
-    model = build_model(hn, make_flag_spec(hn, config.flag_ranks))
+    model = model_from_config(config)
     return ReportDocument(
-        SPEC_VERSION,
-        _model_summary(config, hn, model),
-        _cones_section(model),
-        None,
-        None,
+        SPEC_VERSION, _model_summary(config, model.hn, model), _cones_section(model)
     )
 
 
@@ -335,13 +297,12 @@ def run(config: ProblemConfig) -> ReportDocument:
     recorded in the document instead of aborting, so the geometry
     sections are always present once the model builds.
     """
-    hn = filtration_from_config(config)
-    model = build_model(hn, make_flag_spec(hn, config.flag_ranks))
+    model = model_from_config(config)
     status = sesh.check_divisibility(model)
     entries = tuple(_divisor_entry(spec, model) for spec in config.divisors)
     return ReportDocument(
         SPEC_VERSION,
-        _model_summary(config, hn, model),
+        _model_summary(config, model.hn, model),
         _cones_section(model),
         _assumption_section(status, model),
         entries,
@@ -359,283 +320,167 @@ def worst_exit_code(doc: ReportDocument) -> int:
 
 # ---------------------------------------------------------------------------
 # machine format
+#
+# One codec serves every machine document: it is derived from the dataclass
+# fields and their type hints, compiled once per type.  JSON keys are the
+# field names unless a field carries ``metadata={"json": key}``.
 
 
-def _num(value: Fraction):
+def _at(exc: ParseError, step) -> ParseError:
+    """``exc`` located one key or index further out; :func:`from_json` strips
+    the leading dot."""
+    step = f"[{step}]" if isinstance(step, int) else f".{step}"
+    return ParseError(exc.message, step + (exc.location or ""))
+
+
+def _checked(kind: type, value):
+    if type(value) is not kind:
+        raise ParseError(f"expected {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
+def _encode_fraction(value) -> int | str:
     if value.denominator == 1:
         return int(value)
     return f"{value.numerator}/{value.denominator}"
 
 
-def _nums(values) -> list:
-    return [_num(v) for v in values]
+def _decode_fraction(value) -> Fraction:
+    if type(value) is int:
+        return Fraction(value)
+    return parse_rational(value, None)
 
 
-def _rat(value, location: str) -> Fraction:
-    return parse_rational(value, location)
-
-
-def _rats(values, location: str) -> tuple[Fraction, ...]:
-    if not isinstance(values, list):
-        raise ParseError("expected an array of rationals", location)
-    return tuple(_rat(v, f"{location}[{j}]") for j, v in enumerate(values))
-
-
-def _model_to_json(m: ModelSummary) -> dict:
-    return {
-        "curve": {"genus": m.curve_genus, "label": m.curve_label},
-        "hn_steps": [list(step) for step in m.hn_steps],
-        "rank": m.rank,
-        "degree": m.degree,
-        "slope": _num(m.slope),
-        "semistable": m.semistable,
-        "quotient_slopes": _nums(m.quotient_slopes),
-        "quotient_ranks": list(m.quotient_ranks),
-        "flag_ranks": None if m.flag_ranks is None else list(m.flag_ranks),
-        "hn_indices": None if m.hn_indices is None else list(m.hn_indices),
-        "subspace_dims": None if m.subspace_dims is None else list(m.subspace_dims),
-        "quotient_degrees": (
-            None if m.quotient_degrees is None else list(m.quotient_degrees)
-        ),
-        "picard_rank": m.picard_rank,
-        "fiber_dimension": m.fiber_dimension,
-        "total_dimension": m.total_dimension,
-        "notes": dict(m.notes),
-    }
-
-
-def _cones_to_json(c: Optional[ConesSection]):
-    if c is None:
-        return None
-    return {
-        "nef_generators": [
-            {
-                "name": g.name,
-                "label": g.label,
-                "nef": _nums(g.nef_coords),
-                "pluecker": _nums(g.pluecker_coords),
-            }
-            for g in c.nef_generators
-        ],
-        "curve_generators": [
-            {"name": g.name, "label": g.label, "coords": _nums(g.coords)}
-            for g in c.curve_generators
-        ],
-        "pairing_matrix": [_nums(row) for row in c.pairing_matrix],
-    }
-
-
-def _assumption_to_json(a: Optional[AssumptionSection]):
-    if a is None:
-        return None
-    return {
-        "holds": a.holds,
-        "witnesses": [
-            {
-                "index": w.index,
-                "flag_rank": w.flag_rank,
-                "hn_index": w.hn_index,
-                "subbundle_degree": w.subbundle_degree,
-                "divisible": w.divisible,
-            }
-            for w in a.witnesses
-        ],
-        "failures": [{"index": f.index, "reason": f.reason} for f in a.failures],
-    }
-
-
-def _divisors_to_json(entries: Optional[tuple[DivisorEntry, ...]]):
-    if entries is None:
-        return None
+def _decode_items(value, decoders, size: Optional[int]) -> tuple:
+    _checked(list, value)
+    if size is not None and len(value) != size:
+        raise ParseError(f"expected {size} items, got {len(value)}")
     out = []
-    for e in entries:
-        seshadri_json = None
-        if e.seshadri is not None:
-            s = e.seshadri
-            seshadri_json = {
-                "lower": _num(s.lower),
-                "upper": _num(s.upper),
-                "global": _num(s.epsilon_global),
-                "at_section": _num(s.epsilon_at_section),
-                "general": None if s.epsilon_general is None else _num(s.epsilon_general),
-                "general_rule": s.general_rule,
-                "notes": dict(s.notes),
-            }
-        out.append(
-            {
-                "name": e.name,
-                "basis": e.basis,
-                "coords": _nums(e.coords),
-                "nef_coords": None if e.nef_coords is None else _nums(e.nef_coords),
-                "classification": e.classification,
-                "seshadri": seshadri_json,
-                "error": (
-                    None
-                    if e.error is None
-                    else {"type": e.error.type, "message": e.error.message}
-                ),
-            }
+    try:
+        for decode, item in zip(decoders, value):
+            out.append(decode(item))
+    except ParseError as exc:
+        raise _at(exc, len(out)) from None
+    return tuple(out)
+
+
+def _decode_notes(value) -> dict[str, str]:
+    for key, text in _checked(dict, value).items():
+        try:
+            _checked(str, text)
+        except ParseError as exc:
+            raise _at(exc, key) from None
+    return value
+
+
+def _record(cls):
+    hints = get_type_hints(cls)
+    fields = [
+        (f.metadata.get("json", f.name), f.name, *_codec(hints[f.name]))
+        for f in dataclasses.fields(cls)
+    ]
+    keys = {key for key, *_ in fields}
+    # The encoder is generated source, as ``dataclasses`` generates
+    # ``__init__``: one dict display costs a third of a loop over the fields,
+    # and small documents are mostly field overhead.
+    namespace = {f"enc{i}": enc for i, (_, _, enc, _) in enumerate(fields)}
+    entries = ", ".join(
+        f"{key!r}: value.{name}" if enc is None else f"{key!r}: enc{i}(value.{name})"
+        for i, (key, name, enc, _) in enumerate(fields)
+    )
+    exec(f"def encode(value):\n    return {{{entries}}}", namespace)
+
+    def decode(value):
+        if _checked(dict, value).keys() != keys:
+            missing = [key for key, *_ in fields if key not in value]
+            if missing:
+                raise ParseError("missing key", f".{missing[0]}")
+            raise ParseError("unknown key", f".{min(value.keys() - keys)}")
+        items = []
+        try:
+            for key, _, _, dec in fields:
+                items.append(dec(value[key]))
+        except ParseError as exc:
+            raise _at(exc, key) from None
+        return cls(*items)
+
+    return namespace["encode"], decode
+
+
+@functools.cache
+def _codec(tp):
+    """``(encode, decode)`` for one document type, compiled once.
+
+    Supported: ``Fraction``, ``int``, ``str``, ``bool``, dataclasses,
+    ``Optional[X]``, ``tuple[X, ...]``, ``dict[str, str]`` and fixed tuples
+    whose items are all JSON already (``int``, ``str`` or ``bool``).
+    ``encode`` is None where the value is already JSON.
+    """
+    if tp is Fraction:
+        return _encode_fraction, _decode_fraction
+    if tp in (int, str, bool):
+        return None, functools.partial(_checked, tp)
+    if dataclasses.is_dataclass(tp):
+        return _record(tp)
+    origin, args = get_origin(tp), get_args(tp)
+    if origin in (Union, UnionType):
+        enc, dec = _codec(args[0])
+        return (
+            None if enc is None else (lambda value: None if value is None else enc(value)),
+            lambda value: None if value is None else dec(value),
         )
-    return out
+    if origin is dict:
+        return dict, _decode_notes
+    variadic = args[-1] is Ellipsis
+    enc, dec = _codec(args[0])
+    decoders = itertools.repeat(dec) if variadic else [_codec(arg)[1] for arg in args]
+    size = None if variadic else len(args)
+    if enc is not None:
+        return (
+            lambda value: [enc(item) for item in value],
+            lambda value: _decode_items(value, decoders, size),
+        )
+
+    def decode_native(value):
+        # items already JSON: one scan of their types instead of a call per
+        # item; the general path runs only to locate an error
+        if type(value) is list and (
+            set(map(type, value)) <= {args[0]} if variadic else tuple(map(type, value)) == args
+        ):
+            return tuple(value)
+        return _decode_items(value, decoders, size)
+
+    return list, decode_native
+
+
+def to_json(value):
+    """JSON-ready form of a document dataclass: exact numbers as int or ``"p/q"``."""
+    return _codec(type(value))[0](value)
+
+
+def from_json(cls, data):
+    """Checked inverse of :func:`to_json`; raises a located :class:`ParseError`."""
+    try:
+        return _codec(cls)[1](data)
+    except ParseError as exc:
+        raise ParseError(exc.message, (exc.location or "").lstrip(".") or "document") from None
 
 
 def render_machine(doc: ReportDocument) -> str:
     """Deterministic JSON rendering of a report document."""
-    payload = {
-        "spec_version": doc.spec_version,
-        "model": _model_to_json(doc.model),
-        "cones": _cones_to_json(doc.cones),
-        "assumption": _assumption_to_json(doc.assumption),
-        "divisors": _divisors_to_json(doc.divisors),
-    }
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def _model_from_json(data) -> ModelSummary:
-    curve = data["curve"]
-    return ModelSummary(
-        curve_genus=curve["genus"],
-        curve_label=curve["label"],
-        hn_steps=tuple((step[0], step[1]) for step in data["hn_steps"]),
-        rank=data["rank"],
-        degree=data["degree"],
-        slope=_rat(data["slope"], "model.slope"),
-        semistable=data["semistable"],
-        quotient_slopes=_rats(data["quotient_slopes"], "model.quotient_slopes"),
-        quotient_ranks=tuple(data["quotient_ranks"]),
-        flag_ranks=None if data["flag_ranks"] is None else tuple(data["flag_ranks"]),
-        hn_indices=None if data["hn_indices"] is None else tuple(data["hn_indices"]),
-        subspace_dims=(
-            None if data["subspace_dims"] is None else tuple(data["subspace_dims"])
-        ),
-        quotient_degrees=(
-            None if data["quotient_degrees"] is None else tuple(data["quotient_degrees"])
-        ),
-        picard_rank=data["picard_rank"],
-        fiber_dimension=data["fiber_dimension"],
-        total_dimension=data["total_dimension"],
-        notes=dict(data["notes"]),
-    )
-
-
-def _cones_from_json(data) -> Optional[ConesSection]:
-    if data is None:
-        return None
-    return ConesSection(
-        nef_generators=tuple(
-            DivisorGeneratorInfo(
-                name=g["name"],
-                label=g["label"],
-                nef_coords=_rats(g["nef"], "cones.nef"),
-                pluecker_coords=_rats(g["pluecker"], "cones.pluecker"),
-            )
-            for g in data["nef_generators"]
-        ),
-        curve_generators=tuple(
-            CurveGeneratorInfo(
-                name=g["name"],
-                label=g["label"],
-                coords=_rats(g["coords"], "cones.coords"),
-            )
-            for g in data["curve_generators"]
-        ),
-        pairing_matrix=tuple(
-            _rats(row, "cones.pairing_matrix") for row in data["pairing_matrix"]
-        ),
-    )
-
-
-def _assumption_from_json(data) -> Optional[AssumptionSection]:
-    if data is None:
-        return None
-    return AssumptionSection(
-        holds=data["holds"],
-        witnesses=tuple(
-            WitnessInfo(
-                index=w["index"],
-                flag_rank=w["flag_rank"],
-                hn_index=w["hn_index"],
-                subbundle_degree=w["subbundle_degree"],
-                divisible=w["divisible"],
-            )
-            for w in data["witnesses"]
-        ),
-        failures=tuple(
-            FailureInfo(index=f["index"], reason=f["reason"]) for f in data["failures"]
-        ),
-    )
-
-
-def _divisors_from_json(data) -> Optional[tuple[DivisorEntry, ...]]:
-    if data is None:
-        return None
-    entries = []
-    for e in data:
-        seshadri_summary = None
-        if e["seshadri"] is not None:
-            s = e["seshadri"]
-            seshadri_summary = SeshadriSummary(
-                lower=_rat(s["lower"], "seshadri.lower"),
-                upper=_rat(s["upper"], "seshadri.upper"),
-                epsilon_global=_rat(s["global"], "seshadri.global"),
-                epsilon_at_section=_rat(s["at_section"], "seshadri.at_section"),
-                epsilon_general=(
-                    None
-                    if s["general"] is None
-                    else _rat(s["general"], "seshadri.general")
-                ),
-                general_rule=s["general_rule"],
-                notes=dict(s["notes"]),
-            )
-        entries.append(
-            DivisorEntry(
-                name=e["name"],
-                basis=e["basis"],
-                coords=_rats(e["coords"], "divisor.coords"),
-                nef_coords=(
-                    None
-                    if e["nef_coords"] is None
-                    else _rats(e["nef_coords"], "divisor.nef_coords")
-                ),
-                classification=e["classification"],
-                seshadri=seshadri_summary,
-                error=(
-                    None
-                    if e["error"] is None
-                    else ErrorInfo(e["error"]["type"], e["error"]["message"])
-                ),
-            )
-        )
-    return tuple(entries)
+    return json.dumps(to_json(doc), indent=2) + "\n"
 
 
 def parse_machine(text: str) -> ReportDocument:
-    """Inverse of :func:`render_machine`."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(exc.msg, f"line {exc.lineno}, column {exc.colno}") from None
-    try:
-        version = data["spec_version"]
-        if version != SPEC_VERSION:
-            raise ParseError(f"unsupported spec_version {version!r}")
-        return ReportDocument(
-            spec_version=version,
-            model=_model_from_json(data["model"]),
-            cones=_cones_from_json(data["cones"]),
-            assumption=_assumption_from_json(data["assumption"]),
-            divisors=_divisors_from_json(data["divisors"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"malformed report document: {exc!r}") from None
+    """Inverse of :func:`render_machine`; every field is type-checked."""
+    data = load_json(text)
+    if isinstance(data, dict) and data.get("spec_version", SPEC_VERSION) != SPEC_VERSION:
+        raise ParseError(f"unsupported spec_version {data['spec_version']!r}")
+    return from_json(ReportDocument, data)
 
 
 # ---------------------------------------------------------------------------
 # human format
-
-
-def _fmt(value: Fraction) -> str:
-    return str(value)
 
 
 def _fmt_tuple(values) -> str:
@@ -649,12 +494,12 @@ def _rows(pairs: list[tuple[str, str]], indent: str = "  ") -> list[str]:
 
 def _render_model(m: ModelSummary) -> list[str]:
     pairs = [
-        ("curve", f"{m.curve_label} (genus {m.curve_genus})"),
+        ("curve", f"{m.curve.label} (genus {m.curve.genus})"),
         ("rank / degree", f"{m.rank} / {m.degree}"),
-        ("slope", _fmt(m.slope)),
+        ("slope", str(m.slope)),
         ("semistable", "yes" if m.semistable else "no"),
         ("hn steps", "  ".join(_fmt_tuple(s) for s in m.hn_steps)),
-        ("quotient slopes", "  ".join(_fmt(s) for s in m.quotient_slopes)),
+        ("quotient slopes", "  ".join(str(s) for s in m.quotient_slopes)),
         ("quotient ranks", "  ".join(str(r) for r in m.quotient_ranks) or "(none)"),
     ]
     if m.flag_ranks is not None:
@@ -678,8 +523,8 @@ def _render_cones(c: ConesSection) -> list[str]:
     name_width = max(len(g.name) for g in c.nef_generators)
     for g in c.nef_generators:
         lines.append(
-            f"    {g.name.ljust(name_width)}  nef {_fmt_tuple(g.nef_coords)}"
-            f"  pluecker {_fmt_tuple(g.pluecker_coords)}  [{g.label}]"
+            f"    {g.name.ljust(name_width)}  nef {_fmt_tuple(g.nef)}"
+            f"  pluecker {_fmt_tuple(g.pluecker)}  [{g.label}]"
         )
     lines.append("  curve generators")
     name_width = max(len(g.name) for g in c.curve_generators)
@@ -689,7 +534,7 @@ def _render_cones(c: ConesSection) -> list[str]:
         )
     lines.append("  pairing matrix (curve generators x nef generators)")
     for row in c.pairing_matrix:
-        lines.append("    " + " ".join(_fmt(v) for v in row))
+        lines.append("    " + " ".join(str(v) for v in row))
     return lines
 
 
@@ -724,11 +569,11 @@ def _render_divisor(e: DivisorEntry) -> list[str]:
         lines.append(f"    error [{e.error.type}]: {e.error.message}")
         return lines
     s = e.seshadri
-    general = "unknown" if s.epsilon_general is None else _fmt(s.epsilon_general)
+    general = "unknown" if s.epsilon_general is None else str(s.epsilon_general)
     pairs = [
-        ("bounds", f"{_fmt(s.lower)} <= eps <= {_fmt(s.upper)}"),
-        ("eps global", _fmt(s.epsilon_global)),
-        ("eps at section", _fmt(s.epsilon_at_section)),
+        ("bounds", f"{s.lower} <= eps <= {s.upper}"),
+        ("eps global", str(s.epsilon_global)),
+        ("eps at section", str(s.epsilon_at_section)),
         ("eps very general", general),
     ]
     lines.extend(_rows(pairs, indent="    "))

@@ -168,29 +168,19 @@ def seshadri_bounds(
     return min(upper, coords[-1]), upper
 
 
-def epsilon_at_section(divisor: DivisorClass, model: FlagModel) -> Fraction:
-    """Exact value at any point of the distinguished section: the lower bound."""
-    return seshadri_bounds(divisor, model)[0]
+def _general_rule(
+    lower: Fraction, upper: Fraction, holds: bool
+) -> tuple[Optional[Fraction], str, str]:
+    """Very-general value (``None`` when open), the rule deciding it, its note.
 
-
-def epsilon_global(divisor: DivisorClass, model: FlagModel) -> Fraction:
-    """Exact global minimum over all points: ``min(a_1..a_g, b)``."""
-    return seshadri_bounds(divisor, model)[0]
-
-
-def epsilon_constant_case(
-    divisor: DivisorClass, model: FlagModel
-) -> Optional[Fraction]:
-    """``min(a_1..a_g)``, valid at every point, when ``b >= min(a_1..a_g)``.
-
-    Returns ``None`` when the hypothesis fails and the constant-value
-    conclusion does not apply.
+    The constant case ``b >= min(a)`` collapses the bounds and needs no
+    condition; otherwise the divisibility condition decides.
     """
-    coords = _nef_coords(divisor, model)
-    upper = min(coords[:-1])
-    if coords[-1] >= upper:
-        return upper
-    return None
+    if lower == upper:
+        return upper, RULE_CONSTANT, NOTE_GENERAL_CONSTANT
+    if holds:
+        return upper, RULE_DIVISIBILITY, NOTE_GENERAL_DIVISIBILITY
+    return None, RULE_OPEN, NOTE_GENERAL_OPEN
 
 
 @dataclass(frozen=True)
@@ -213,11 +203,8 @@ def epsilon_general_point(
     outcome carrying the two-sided bounds.
     """
     lower, upper = seshadri_bounds(divisor, model)
-    if lower == upper:
-        return upper
-    if check_divisibility(model).holds:
-        return upper
-    return Unknown(lower, upper)
+    general, _, _ = _general_rule(lower, upper, check_divisibility(model).holds)
+    return Unknown(lower, upper) if general is None else general
 
 
 def seshadri_ratio(
@@ -325,24 +312,14 @@ def full_report(divisor: DivisorClass, model: FlagModel) -> SeshadriReport:
     converted = to_nef(divisor, model)
     lower, upper = seshadri_bounds(converted, model)
     status = check_divisibility(model)
+    general, rule, general_note = _general_rule(lower, upper, status.holds)
     notes = {
         "lower": NOTE_LOWER,
         "upper": NOTE_UPPER,
         "global": NOTE_GLOBAL,
         "at_section": NOTE_AT_SECTION,
+        "general": general_note,
     }
-    if lower == upper:
-        general: Optional[Fraction] = upper
-        rule = RULE_CONSTANT
-        notes["general"] = NOTE_GENERAL_CONSTANT
-    elif status.holds:
-        general = upper
-        rule = RULE_DIVISIBILITY
-        notes["general"] = NOTE_GENERAL_DIVISIBILITY
-    else:
-        general = None
-        rule = RULE_OPEN
-        notes["general"] = NOTE_GENERAL_OPEN
     return SeshadriReport(
         divisor=converted,
         lower=lower,

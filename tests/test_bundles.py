@@ -16,8 +16,6 @@ from flagcones import (
     ValidationError,
     hn_brute_force_oracle,
     hn_filtration,
-    is_semistable,
-    slope,
     validate_hn,
 )
 
@@ -89,25 +87,25 @@ class TestOracle:
 
 class TestSlope:
     def test_values(self):
-        assert slope(SemistablePiece(5, 3)) == Fraction(3, 5)
-        assert slope(SemistablePiece(4, 0)) == 0
-        assert slope(SemistablePiece(7, 1)) == Fraction(1, 7)
+        assert SemistablePiece(5, 3).slope == Fraction(3, 5)
+        assert SemistablePiece(4, 0).slope == 0
+        assert SemistablePiece(7, 1).slope == Fraction(1, 7)
 
     def test_exactness(self):
-        assert slope(SemistablePiece(3, 1)) * 3 == 1
+        assert SemistablePiece(3, 1).slope * 3 == 1
 
 
 class TestSemistability:
     def test_examples(self):
-        assert is_semistable(SplitBundle((0, 0, 0)))
-        assert not is_semistable(SplitBundle((1, 2, 0, 0, 0)))
-        assert is_semistable(SplitBundle((5, 5, 5, 5)))
+        assert hn_filtration(SplitBundle((0, 0, 0))).is_semistable
+        assert not hn_filtration(SplitBundle((1, 2, 0, 0, 0))).is_semistable
+        assert hn_filtration(SplitBundle((5, 5, 5, 5))).is_semistable
 
     @given(degree_lists)
     @settings(max_examples=100, deadline=None)
     def test_iff_single_step(self, degrees):
         bundle = SplitBundle(tuple(degrees))
-        assert is_semistable(bundle) == (hn_filtration(bundle).d == 1)
+        assert hn_filtration(bundle).is_semistable == (len(set(degrees)) == 1)
 
 
 class TestValidateHN:

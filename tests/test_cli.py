@@ -139,6 +139,22 @@ class TestExitCodes:
         # report is still produced, with the offending input echoed
         assert "NotNef" in out and "(-1, 0, 0)" in out
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            GOOD.replace('"degree": 4', '"degree": ' + "7" * 5000),
+            "[" * 100_000 + "]" * 100_000,
+            GOOD.replace('"flag": {"quotient_ranks": [4, 1]},', '"flag": {"quotient_ranks": [4, 1]},' * 2),
+            GOOD.replace('"coords": [3, 4, 1]', '"coords": [3, 4, "1/' + "7" * 5000 + '"]'),
+        ],
+        ids=["huge-integer", "deep-nesting", "duplicate-key", "huge-rational"],
+    )
+    def test_hostile_input_is_one_line_parse_error(self, config_file, capsys, text):
+        assert main(["seshadri", "--machine", config_file(text)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error [ParseError]: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
 
 class TestInternalFailureExit:
     def test_examples_digest_mismatch_is_4(self, capsys, monkeypatch):

@@ -43,6 +43,20 @@ RANK7_B = config_for(
     divisors=(DivisorInput("L", Basis.NEF, (1, 1, 1, 1, 1)),),
 )
 
+# One mutation of a rendered RANK7_B document per case, keyed by the path
+# that parse_machine must name.
+ILL_TYPED = {
+    "model.rank": lambda d: d["model"].__setitem__("rank", "x"),
+    "model.semistable": lambda d: d["model"].__setitem__("semistable", 5),
+    "assumption.holds": lambda d: d["assumption"].__setitem__("holds", "yes"),
+    "divisors[0].seshadri.bogus": lambda d: d["divisors"][0]["seshadri"].__setitem__("bogus", 1),
+    "model.degree": lambda d: d["model"].pop("degree"),
+    "model.hn_steps[1]": lambda d: d["model"]["hn_steps"][1].append(0),
+    "divisors[0].coords": lambda d: d["divisors"][0].__setitem__("coords", "12"),
+    "model.picard_rank": lambda d: d["model"].__setitem__("picard_rank", True),
+    "cones.pairing_matrix[2][1]": lambda d: d["cones"]["pairing_matrix"][2].__setitem__(1, "1/0"),
+}
+
 
 class TestRun:
     def test_full_composition(self):
@@ -184,6 +198,17 @@ class TestMachineFormat:
 
         with pytest.raises(ParseError):
             parse_machine(json.dumps(data))
+
+    @pytest.mark.parametrize("location", list(ILL_TYPED))
+    def test_ill_typed_field_rejected(self, location):
+        from flagcones import ParseError
+
+        data = json.loads(render_machine(run(RANK7_B)))
+        ILL_TYPED[location](data)
+        with pytest.raises(ParseError) as excinfo:
+            parse_machine(json.dumps(data))
+        assert excinfo.value.location == location
+        assert str(excinfo.value).startswith(location + ": ")
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=60, deadline=None)

@@ -20,10 +20,7 @@ from flagcones import (
     check_divisibility,
     curve_generators,
     degree_gaps,
-    epsilon_at_section,
-    epsilon_constant_case,
     epsilon_general_point,
-    epsilon_global,
     full_report,
     grassmann_pseff_generators,
     hn_filtration,
@@ -108,32 +105,35 @@ class TestBounds:
 
 class TestPointValues:
     def test_at_section_and_global(self):
-        divisor = DivisorClass(Basis.NEF, (3, 4, 1))
-        assert epsilon_at_section(divisor, MODEL_A) == 1
-        assert epsilon_global(divisor, MODEL_A) == 1
-        assert epsilon_at_section(DivisorClass(Basis.NEF, (2, 3, 5)), MODEL_A) == 2
-        assert epsilon_at_section(DivisorClass(Basis.NEF, (1, 1, 1)), MODEL_A) == 1
+        report = full_report(DivisorClass(Basis.NEF, (3, 4, 1)), MODEL_A)
+        assert report.epsilon_at_section == 1
+        assert report.epsilon_global == 1
+        assert full_report(DivisorClass(Basis.NEF, (2, 3, 5)), MODEL_A).epsilon_at_section == 2
+        assert full_report(DivisorClass(Basis.NEF, (1, 1, 1)), MODEL_A).epsilon_at_section == 1
 
     def test_fiber_class_has_zero_constant(self):
-        assert epsilon_global(DivisorClass(Basis.NEF, (0, 0, 1)), MODEL_A) == 0
+        assert seshadri_bounds(DivisorClass(Basis.NEF, (0, 0, 1)), MODEL_A)[0] == 0
 
     def test_constant_coordinates(self):
-        assert epsilon_global(DivisorClass(Basis.NEF, (5, 5, 5)), MODEL_A) == 5
+        assert seshadri_bounds(DivisorClass(Basis.NEF, (5, 5, 5)), MODEL_A)[0] == 5
 
     def test_rational_values(self):
         divisor = DivisorClass(Basis.NEF, (Fraction(3, 2), Fraction(1, 3), 4))
-        assert epsilon_global(divisor, MODEL_A) == Fraction(1, 3)
+        assert seshadri_bounds(divisor, MODEL_A)[0] == Fraction(1, 3)
 
 
 class TestConstantCase:
     def test_applicable(self):
-        assert epsilon_constant_case(DivisorClass(Basis.NEF, (2, 3, 5)), MODEL_A) == 2
+        report = full_report(DivisorClass(Basis.NEF, (2, 3, 5)), MODEL_A)
+        assert (report.general_rule, report.epsilon_general) == ("constant_case", 2)
 
     def test_not_applicable(self):
-        assert epsilon_constant_case(DivisorClass(Basis.NEF, (3, 4, 1)), MODEL_A) is None
+        report = full_report(DivisorClass(Basis.NEF, (3, 4, 1)), MODEL_A)
+        assert report.general_rule != "constant_case"
 
     def test_zero_edge(self):
-        assert epsilon_constant_case(DivisorClass(Basis.NEF, (0, 4, 0)), MODEL_A) == 0
+        report = full_report(DivisorClass(Basis.NEF, (0, 4, 0)), MODEL_A)
+        assert (report.general_rule, report.epsilon_general) == ("constant_case", 0)
 
 
 class TestGeneralPoint:
