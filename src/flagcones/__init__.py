@@ -21,7 +21,7 @@ from .bundles import (
     hn_filtration,
     validate_hn,
 )
-from .config import DivisorInput, ProblemConfig, SummandSpec, parse_config, parse_rational
+from .config import ProblemConfig, SummandSpec, parse_config, parse_rational
 from .errors import (
     BasisMismatch,
     CapExceeded,

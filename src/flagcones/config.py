@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .bundles import CurveInfo
 from .errors import ParseError, ValidationError
-from .flags import Basis
+from .flags import Basis, DivisorClass
 
 _RATIONAL = re.compile(r"[+-]?\d+(/\d+)?\Z")
 
@@ -119,15 +119,6 @@ class SummandSpec:
 
 
 @dataclass(frozen=True)
-class DivisorInput:
-    """A named divisor class to evaluate, in a declared basis."""
-
-    name: str
-    basis: Basis
-    coords: tuple[Fraction, ...]
-
-
-@dataclass(frozen=True)
 class ProblemConfig:
     """One validated problem: curve, bundle data, flag choice, divisors.
 
@@ -138,7 +129,7 @@ class ProblemConfig:
     summands: tuple[SummandSpec, ...] | None
     hn_steps: tuple[tuple[int, int], ...] | None
     flag_ranks: tuple[int, ...]
-    divisors: tuple[DivisorInput, ...] = field(default=())
+    divisors: tuple[DivisorClass, ...] = field(default=())
 
     def summand_degrees(self) -> tuple[int, ...]:
         """Summand degrees with multiplicities expanded."""
@@ -224,7 +215,7 @@ def _parse_flag(data) -> tuple[int, ...]:
     return tuple(ranks)
 
 
-def _parse_divisors(data) -> tuple[DivisorInput, ...]:
+def _parse_divisors(data) -> tuple[DivisorClass, ...]:
     if data is None:
         return ()
     entries = _require_array(data, "divisors")
@@ -249,7 +240,7 @@ def _parse_divisors(data) -> tuple[DivisorInput, ...]:
             parse_rational(v, f"{where}.coords[{j}]")
             for j, v in enumerate(coords_raw)
         )
-        divisors.append(DivisorInput(name, basis, coords))
+        divisors.append(DivisorClass(basis, coords, name=name))
     return tuple(divisors)
 
 

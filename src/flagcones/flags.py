@@ -65,7 +65,7 @@ def _as_coords(values) -> tuple[Fraction, ...]:
             raise ValidationError(
                 f"coordinates must be exact rationals, got float {value!r}"
             )
-        coords.append(Fraction(value))
+        coords.append(value if type(value) is Fraction else Fraction(value))
     if not coords:
         raise ValidationError("a class needs at least one coordinate")
     return tuple(coords)
@@ -348,17 +348,19 @@ def to_nef(divisor: DivisorClass, model: FlagModel) -> DivisorClass:
 def pairing_matrix(model: FlagModel) -> tuple[tuple[Fraction, ...], ...]:
     """Pairings of curve generators against nef generators; must be identity.
 
-    Each nef generator is routed through its pluecker expression and back
-    before pairing, so a broken basis conversion shows up as a
-    non-identity matrix.
+    Each nef generator is converted to the pluecker basis once and paired
+    there through the intersection numbers of that basis, which owe
+    nothing to the conversion: ``H_i . line_j = delta_ij``,
+    ``f . line_j = 0``, ``H_i . section = t_i`` and ``f . section = 1``.
+    A broken conversion therefore shows up as a non-identity matrix.
     """
-    curves = curve_generators(model)
-    divisors = [
-        convert_basis(convert_basis(g, model), model) for g in nef_generators(model)
-    ]
-    return tuple(
-        tuple(pairing(c, g) for g in divisors) for c in curves
+    pluecker = [convert_basis(g, model).coords for g in nef_generators(model)]
+    lines = [tuple(p[i] for p in pluecker) for i in range(model.gamma)]
+    section = tuple(
+        sum((c * t for c, t in zip(p, model.quotient_degrees)), start=p[-1])
+        for p in pluecker
     )
+    return (*lines, section)
 
 
 def classify_divisor(divisor: DivisorClass, model: FlagModel) -> Positivity:

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bundles import CurveInfo
-from .config import DivisorInput, ProblemConfig, SummandSpec
+from .config import ProblemConfig, SummandSpec
 from .errors import ValidationError
-from .flags import Basis
+from .flags import Basis, DivisorClass
 from .report import ReportDocument, run
 
 
@@ -52,7 +52,7 @@ def digest_of(doc: ReportDocument) -> Digest:
 def _fixture(name, degrees, flag_ranks, hn_steps, slope, holds) -> Fixture:
     summands = tuple(SummandSpec(d, m) for d, m in degrees)
     gamma = len(flag_ranks)
-    unit = DivisorInput("ample-unit", Basis.NEF, tuple(Fraction(1) for _ in range(gamma + 1)))
+    unit = DivisorClass(Basis.NEF, (1,) * (gamma + 1), name="ample-unit")
     config = ProblemConfig(
         curve=CurveInfo(0, "X"),
         summands=summands,

@@ -11,6 +11,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import UnionType
@@ -18,12 +19,13 @@ from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 from . import seshadri as sesh
 from .bundles import CurveInfo, HNFiltration, SplitBundle, hn_filtration, validate_hn
-from .config import ProblemConfig, load_json, parse_rational
+from .config import ProblemConfig, _too_many_digits, load_json, parse_rational
 from .errors import (
     EXIT_OK,
     FlagconesError,
     InternalCheckFailure,
     ParseError,
+    ValidationError,
     exit_code_for,
 )
 from .flags import (
@@ -245,9 +247,8 @@ def _assumption_section(status: sesh.DivisibilityStatus, model: FlagModel) -> As
     return AssumptionSection(status.holds, tuple(witnesses), status.failures)
 
 
-def _divisor_entry(spec, model: FlagModel) -> DivisorEntry:
+def _divisor_entry(divisor: DivisorClass, model: FlagModel) -> DivisorEntry:
     """Evaluate one divisor; the fields reached before a failure are kept."""
-    divisor = DivisorClass(spec.basis, spec.coords, name=spec.name)
     nef_coords = classification = summary = error = None
     try:
         converted = to_nef(divisor, model)
@@ -266,9 +267,9 @@ def _divisor_entry(spec, model: FlagModel) -> DivisorEntry:
     except FlagconesError as exc:
         error = ErrorInfo(type(exc).__name__, str(exc))
     return DivisorEntry(
-        name=spec.name,
-        basis=spec.basis.value,
-        coords=spec.coords,
+        name=divisor.name,
+        basis=divisor.basis.value,
+        coords=divisor.coords,
         nef_coords=nef_coords,
         classification=classification,
         seshadri=summary,
@@ -299,7 +300,7 @@ def run(config: ProblemConfig) -> ReportDocument:
     """
     model = model_from_config(config)
     status = sesh.check_divisibility(model)
-    entries = tuple(_divisor_entry(spec, model) for spec in config.divisors)
+    entries = tuple(_divisor_entry(divisor, model) for divisor in config.divisors)
     return ReportDocument(
         SPEC_VERSION,
         _model_summary(config, model.hn, model),
@@ -345,10 +346,26 @@ def _encode_fraction(value) -> int | str:
     return f"{value.numerator}/{value.denominator}"
 
 
+# the shape of the strings _encode_fraction writes; lowest terms is checked apart
+_CANONICAL_RATIONAL = re.compile(r"(-?[1-9]\d*)/([1-9]\d*)\Z")
+
+
 def _decode_fraction(value) -> Fraction:
+    """Inverse of :func:`_encode_fraction`: other spellings of a rational
+    (``"4/2"``, ``" 2/14 "``, ``"+3/5"``, ``"3"``) are rejected."""
     if type(value) is int:
         return Fraction(value)
-    return parse_rational(value, None)
+    match = _CANONICAL_RATIONAL.match(value) if type(value) is str else None
+    if match is not None:
+        try:
+            numerator, denominator = int(match[1]), int(match[2])
+        except ValueError:
+            raise ParseError(_too_many_digits()) from None
+        fraction = Fraction(numerator, denominator)
+        if 1 < fraction.denominator == denominator:
+            return fraction
+    parse_rational(value, None)  # names the fault of text that is no rational
+    raise ParseError(f'not "p/q" in lowest terms with q > 1: {value!r}')
 
 
 def _decode_items(value, decoders, size: Optional[int]) -> tuple:
@@ -402,7 +419,10 @@ def _record(cls):
                 items.append(dec(value[key]))
         except ParseError as exc:
             raise _at(exc, key) from None
-        return cls(*items)
+        try:
+            return cls(*items)
+        except ValidationError as exc:
+            raise ParseError(str(exc)) from None
 
     return namespace["encode"], decode
 

@@ -22,8 +22,8 @@ from .bundles import (
     hn_filtration,
     validate_hn,
 )
-from .config import DivisorInput, ProblemConfig, SummandSpec
-from .errors import ValidationError
+from .config import ProblemConfig, SummandSpec
+from .errors import InternalCheckFailure, ValidationError
 from .flags import (
     Basis,
     DivisorClass,
@@ -32,11 +32,10 @@ from .flags import (
     convert_basis,
     curve_generators,
     make_flag_spec,
-    pairing_matrix,
     quotient_ranks,
 )
 from .gallery import builtin_examples, check_fixture
-from .report import parse_machine, render_machine, run
+from .report import assert_duality, parse_machine, render_machine, run
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +184,7 @@ def random_config(rng: random.Random, max_divisors: int = 3) -> ProblemConfig:
     divisors = []
     for j in range(rng.randint(0, max_divisors)):
         d = random_divisor(rng, gamma)
-        divisors.append(DivisorInput(f"D{j + 1}", d.basis, d.coords))
+        divisors.append(DivisorClass(d.basis, d.coords, name=f"D{j + 1}"))
     return ProblemConfig(
         curve=CurveInfo(rng.randint(0, 3), "X"),
         flag_ranks=flag,
@@ -210,13 +209,6 @@ class CheckResult:
         return self.failures == 0
 
 
-def _identity(gamma: int) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(gamma + 1))
-        for i in range(gamma + 1)
-    )
-
-
 def _check_oracle(rng, trials, cap) -> CheckResult:
     failures = 0
     detail = ""
@@ -233,9 +225,11 @@ def _check_pairing(rng, trials) -> CheckResult:
     detail = ""
     for _ in range(trials):
         model = random_model(rng)
-        if pairing_matrix(model) != _identity(model.gamma):
+        try:
+            assert_duality(model)
+        except InternalCheckFailure as exc:
             failures += 1
-            detail = detail or f"non-identity for steps {model.hn.step_pairs()}"
+            detail = detail or f"{exc} for steps {model.hn.step_pairs()}"
     return CheckResult("pairing-identity", trials, failures, detail)
 
 

@@ -14,6 +14,7 @@ unknown.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -24,15 +25,7 @@ from .errors import (
     ValidationError,
     ZeroMultiplicity,
 )
-from .flags import (
-    CurveClass,
-    DivisorClass,
-    FlagModel,
-    Positivity,
-    classify_divisor,
-    pairing,
-    to_nef,
-)
+from .flags import CurveClass, DivisorClass, FlagModel, pairing, to_nef
 
 NO_RANK_MATCH = "no_rank_match"
 NOT_DIVISIBLE = "not_divisible"
@@ -124,13 +117,15 @@ class DivisibilityStatus:
         return tuple(w.subbundle_degree for w in self.witnesses)
 
 
+@functools.lru_cache(maxsize=1)
 def check_divisibility(model: FlagModel) -> DivisibilityStatus:
     """Check the divisibility condition for every flagged quotient rank.
 
     For each flag position i the filtration is searched for a step of
     rank exactly ``r_i`` (unique when present, since ranks strictly
     increase); the condition at i holds when such a step exists and its
-    degree is a multiple of ``r_i``.
+    degree is a multiple of ``r_i``.  The status depends on the immutable
+    model alone, so the last one is cached: a report scans once per model.
     """
     witnesses: list[Optional[Witness]] = []
     failures: list[Failure] = []
@@ -148,24 +143,23 @@ def check_divisibility(model: FlagModel) -> DivisibilityStatus:
     return DivisibilityStatus(not failures, tuple(witnesses), tuple(failures))
 
 
-def _nef_coords(divisor: DivisorClass, model: FlagModel) -> tuple[Fraction, ...]:
-    converted = to_nef(divisor, model)
-    if classify_divisor(converted, model) is Positivity.NOT_NEF:
-        raise NotNef(
-            "Seshadri constants are defined here only for nef classes; "
-            f"nef-basis coordinates {[str(c) for c in converted.coords]} "
-            "have a negative entry"
-        )
-    return converted.coords
-
-
 def seshadri_bounds(
     divisor: DivisorClass, model: FlagModel
 ) -> tuple[Fraction, Fraction]:
-    """Two-sided bounds ``(min(a_1..a_g, b), min(a_1..a_g))`` for a nef class."""
-    coords = _nef_coords(divisor, model)
+    """Two-sided bounds ``(min(a_1..a_g, b), min(a_1..a_g))`` for a nef class.
+
+    The class is nef exactly when the lower bound is nonnegative.
+    """
+    coords = to_nef(divisor, model).coords
     upper = min(coords[:-1])
-    return min(upper, coords[-1]), upper
+    lower = min(upper, coords[-1])
+    if lower < 0:
+        raise NotNef(
+            "Seshadri constants are defined here only for nef classes; "
+            f"nef-basis coordinates {[str(c) for c in coords]} "
+            "have a negative entry"
+        )
+    return lower, upper
 
 
 def _general_rule(

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from flagcones import (
     Basis,
     CurveInfo,
-    DivisorInput,
+    DivisorClass,
     InternalCheckFailure,
     ProblemConfig,
     RankNotInHNProfile,
@@ -40,7 +40,7 @@ def config_for(degrees, flag, divisors=(), hn_steps=None):
 RANK7_B = config_for(
     (8, 2, 0, 0, 0, -4, -5),
     (6, 5, 2, 1),
-    divisors=(DivisorInput("L", Basis.NEF, (1, 1, 1, 1, 1)),),
+    divisors=(DivisorClass(Basis.NEF, (1, 1, 1, 1, 1), name="L"),),
 )
 
 # One mutation of a rendered RANK7_B document per case, keyed by the path
@@ -55,7 +55,18 @@ ILL_TYPED = {
     "divisors[0].coords": lambda d: d["divisors"][0].__setitem__("coords", "12"),
     "model.picard_rank": lambda d: d["model"].__setitem__("picard_rank", True),
     "cones.pairing_matrix[2][1]": lambda d: d["cones"]["pairing_matrix"][2].__setitem__(1, "1/0"),
+    "model.curve": lambda d: d["model"]["curve"].__setitem__("genus", -1),
 }
+
+# Rationals parse_machine must refuse at model.slope: each reads as a
+# rational, but none is the form render_machine writes.
+NON_CANONICAL = [" 2/14 ", "4/2", "+3/5", "3"]
+
+REJECTED = [pytest.param(location, mutate, id=location) for location, mutate in ILL_TYPED.items()]
+REJECTED += [
+    pytest.param("model.slope", lambda d, v=v: d["model"].__setitem__("slope", v), id=f"model.slope={v!r}")
+    for v in NON_CANONICAL
+]
 
 
 class TestRun:
@@ -100,9 +111,9 @@ class TestRun:
             (1, 2, 0, 0, 0),
             (4, 3),
             divisors=(
-                DivisorInput("good", Basis.NEF, (3, 4, 1)),
-                DivisorInput("bad", Basis.NEF, (-1, 0, 0)),
-                DivisorInput("short", Basis.NEF, (1, 1)),
+                DivisorClass(Basis.NEF, (3, 4, 1), name="good"),
+                DivisorClass(Basis.NEF, (-1, 0, 0), name="bad"),
+                DivisorClass(Basis.NEF, (1, 1), name="short"),
             ),
         )
         doc = run(config)
@@ -114,6 +125,16 @@ class TestRun:
         assert short.error.type == "ValidationError"
         assert short.nef_coords is None
         assert worst_exit_code(doc) == 3
+
+    def test_divisibility_scanned_once_per_model(self):
+        from flagcones.seshadri import check_divisibility
+
+        nef = [DivisorClass(Basis.NEF, (k, 1, 2, 3, 4), name=f"L{k}") for k in range(1, 4)]
+        config = config_for((8, 2, 0, 0, 0, -4, -5), (6, 5, 2, 1), divisors=nef)
+        check_divisibility.cache_clear()
+        run(config)
+        info = check_divisibility.cache_info()
+        assert (info.misses, info.hits) == (1, len(nef))
 
     def test_exit_code_clean(self):
         assert worst_exit_code(run(RANK7_B)) == 0
@@ -160,7 +181,7 @@ class TestMachineFormat:
         config = config_for(
             (1, 2, 0, 0, 0),
             (4, 3),
-            divisors=(DivisorInput("L", Basis.NEF, (Fraction(1, 2), 1, 2)),),
+            divisors=(DivisorClass(Basis.NEF, (Fraction(1, 2), 1, 2), name="L"),),
         )
         data = json.loads(render_machine(run(config)))
         assert data["model"]["slope"] == "3/5"
@@ -185,7 +206,7 @@ class TestMachineFormat:
         config = config_for(
             (1, 2, 0, 0, 0),
             (4, 3),
-            divisors=(DivisorInput("bad", Basis.NEF, (-1, 0, 0)),),
+            divisors=(DivisorClass(Basis.NEF, (-1, 0, 0), name="bad"),),
         )
         doc = run(config)
         assert parse_machine(render_machine(doc)) == doc
@@ -199,12 +220,12 @@ class TestMachineFormat:
         with pytest.raises(ParseError):
             parse_machine(json.dumps(data))
 
-    @pytest.mark.parametrize("location", list(ILL_TYPED))
-    def test_ill_typed_field_rejected(self, location):
+    @pytest.mark.parametrize("location, mutate", REJECTED)
+    def test_ill_typed_field_rejected(self, location, mutate):
         from flagcones import ParseError
 
         data = json.loads(render_machine(run(RANK7_B)))
-        ILL_TYPED[location](data)
+        mutate(data)
         with pytest.raises(ParseError) as excinfo:
             parse_machine(json.dumps(data))
         assert excinfo.value.location == location
@@ -228,7 +249,7 @@ class TestHumanFormat:
         config = config_for(
             (1, 2, 0, 0, 0),
             (4, 3),
-            divisors=(DivisorInput("L", Basis.NEF, (3, 4, 1)),),
+            divisors=(DivisorClass(Basis.NEF, (3, 4, 1), name="L"),),
         )
         text = render_human(run(config))
         assert "eps very general  unknown" in text
@@ -251,5 +272,19 @@ class TestDualityGuard:
             )
 
         monkeypatch.setattr(report_module, "pairing_matrix", broken_matrix)
+        with pytest.raises(InternalCheckFailure):
+            run(RANK7_B)
+
+    def test_conversion_without_twist_is_caught(self, monkeypatch):
+        # Dropping the twist in both directions keeps the nef -> pluecker ->
+        # nef round trip the identity, so only a check that pairs in the
+        # pluecker basis itself can see it.
+        import flagcones.flags as flags_module
+
+        def untwisted(divisor, model):
+            basis = Basis.NEF if divisor.basis is Basis.PLUECKER else Basis.PLUECKER
+            return DivisorClass(basis, divisor.coords, name=divisor.name)
+
+        monkeypatch.setattr(flags_module, "convert_basis", untwisted)
         with pytest.raises(InternalCheckFailure):
             run(RANK7_B)
