@@ -15,8 +15,8 @@ precondition, 4 internal invariant failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .bundles import DEFAULT_ORACLE_CAP
@@ -27,9 +27,19 @@ from .errors import (
     FlagconesError,
     InputError,
 )
-from .gallery import builtin_examples, check_fixture, find_fixture
-from .report import render, run, run_cones, run_hn, to_json, worst_exit_code
-from .selftest import run_selftest
+from .gallery import Digest, builtin_examples, check_fixture, find_fixture
+from .report import emit, render, run, run_cones, run_hn, worst_exit_code
+from .selftest import CheckResult, run_selftest
+
+
+@dataclass(frozen=True)
+class FixtureOutcome:
+    """One entry of ``examples --machine``."""
+
+    name: str
+    passed: bool = field(metadata={"json": "pass"})
+    expected: Digest
+    actual: Digest
 
 
 def _load_config(path: str):
@@ -58,16 +68,11 @@ def _cmd_examples(args) -> int:
         any_failed = any_failed or not ok
         results.append((fixture, doc, actual, ok))
     if args.machine:
-        payload = [
-            {
-                "name": fixture.name,
-                "pass": ok,
-                "expected": to_json(fixture.digest),
-                "actual": to_json(actual),
-            }
+        outcomes = tuple(
+            FixtureOutcome(fixture.name, ok, fixture.digest, actual)
             for fixture, _, actual, ok in results
-        ]
-        print(json.dumps(payload, indent=2))
+        )
+        print(emit(outcomes, tuple[FixtureOutcome, ...]))
     else:
         if args.name:
             fixture, doc, actual, ok = results[0]
@@ -92,7 +97,7 @@ def _cmd_selftest(args) -> int:
         seed=args.seed, oracle_cap=args.oracle_cap, trials=args.trials
     )
     if args.machine:
-        print(json.dumps([to_json(r) for r in results], indent=2))
+        print(emit(tuple(results), tuple[CheckResult, ...]))
     else:
         width = max(len(r.name) for r in results)
         for r in results:

@@ -236,10 +236,12 @@ def _parse_divisors(data) -> tuple[DivisorClass, ...]:
         coords_raw = _require_array(item.get("coords"), f"{where}.coords")
         if not coords_raw:
             raise ValidationError(f"{where}.coords must not be empty")
-        coords = tuple(
-            parse_rational(v, f"{where}.coords[{j}]")
-            for j, v in enumerate(coords_raw)
-        )
+        try:
+            coords = tuple([parse_rational(v, None) for v in coords_raw])
+        except ParseError:
+            for j, v in enumerate(coords_raw):  # locate the first bad coordinate
+                parse_rational(v, f"{where}.coords[{j}]")
+            raise
         divisors.append(DivisorClass(basis, coords, name=name))
     return tuple(divisors)
 

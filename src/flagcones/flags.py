@@ -23,6 +23,7 @@ flag.  Generators of the two cones pair as the identity matrix.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -304,6 +305,16 @@ def pairing(curve: CurveClass, divisor: DivisorClass) -> Fraction:
     )
 
 
+def _twist(coords, degrees) -> Fraction:
+    """``sum(c_i * t_i)`` over rationals ``c`` and integers ``t``: one integer
+    sum over the common denominator, then one ``Fraction``."""
+    common = math.lcm(*(c.denominator for c in coords))
+    return Fraction(
+        sum(c.numerator * (common // c.denominator) * t for c, t in zip(coords, degrees)),
+        common,
+    )
+
+
 def convert_basis(divisor: DivisorClass, model: FlagModel) -> DivisorClass:
     """Toggle a divisor class between the nef and pluecker bases.
 
@@ -316,9 +327,7 @@ def convert_basis(divisor: DivisorClass, model: FlagModel) -> DivisorClass:
             f"expected {model.gamma + 1} coordinates, got {len(divisor.coords)}"
         )
     front = divisor.coords[:-1]
-    twist = sum(
-        (c * t for c, t in zip(front, model.quotient_degrees)), start=Fraction(0)
-    )
+    twist = _twist(front, model.quotient_degrees)
     if divisor.basis is Basis.NEF:
         return DivisorClass(
             Basis.PLUECKER,
@@ -345,7 +354,9 @@ def to_nef(divisor: DivisorClass, model: FlagModel) -> DivisorClass:
     return convert_basis(divisor, model)
 
 
-def pairing_matrix(model: FlagModel) -> tuple[tuple[Fraction, ...], ...]:
+def pairing_matrix(
+    model: FlagModel,
+) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[tuple[DivisorClass, DivisorClass], ...]]:
     """Pairings of curve generators against nef generators; must be identity.
 
     Each nef generator is converted to the pluecker basis once and paired
@@ -353,26 +364,32 @@ def pairing_matrix(model: FlagModel) -> tuple[tuple[Fraction, ...], ...]:
     nothing to the conversion: ``H_i . line_j = delta_ij``,
     ``f . line_j = 0``, ``H_i . section = t_i`` and ``f . section = 1``.
     A broken conversion therefore shows up as a non-identity matrix.
+
+    Returns the matrix and each nef generator paired with the
+    pluecker-basis class the matrix was computed from.
     """
-    pluecker = [convert_basis(g, model).coords for g in nef_generators(model)]
+    generators = nef_generators(model)
+    converted = [convert_basis(g, model) for g in generators]
+    pluecker = [c.coords for c in converted]
     lines = [tuple(p[i] for p in pluecker) for i in range(model.gamma)]
     section = tuple(
         sum((c * t for c, t in zip(p, model.quotient_degrees)), start=p[-1])
         for p in pluecker
     )
-    return (*lines, section)
+    return (*lines, section), tuple(zip(generators, converted))
 
 
 def classify_divisor(divisor: DivisorClass, model: FlagModel) -> Positivity:
     """Ample, nef-but-not-ample, or not nef.
 
     Nef means all nef-basis coordinates are >= 0; ample means all are
-    strictly positive (the interior of the simplicial nef cone).
+    strictly positive (the interior of the simplicial nef cone).  The signs
+    are read off the numerators; denominators are positive.
     """
-    coords = to_nef(divisor, model).coords
-    if all(a > 0 for a in coords):
+    numerators = [a.numerator for a in to_nef(divisor, model).coords]
+    if all(a > 0 for a in numerators):
         return Positivity.AMPLE
-    if all(a >= 0 for a in coords):
+    if all(a >= 0 for a in numerators):
         return Positivity.NEF_NOT_AMPLE
     return Positivity.NOT_NEF
 

@@ -10,10 +10,11 @@ identical configs produce byte-identical output.
 import dataclasses
 import functools
 import itertools
-import json
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from types import UnionType
 from typing import Optional, Union, get_args, get_origin, get_type_hints
 
@@ -34,10 +35,8 @@ from .flags import (
     FlagModel,
     build_model,
     classify_divisor,
-    convert_basis,
     curve_generators,
     make_flag_spec,
-    nef_generators,
     pairing_matrix,
     quotient_ranks,
     to_nef,
@@ -172,9 +171,10 @@ def model_from_config(config: ProblemConfig) -> FlagModel:
     return build_model(hn, make_flag_spec(hn, config.flag_ranks))
 
 
-def assert_duality(model: FlagModel) -> tuple[tuple[Fraction, ...], ...]:
-    """Recompute the pairing matrix and require it to be the identity."""
-    matrix = pairing_matrix(model)
+def assert_duality(model: FlagModel):
+    """Recompute the pairing matrix and require it to be the identity;
+    returns what :func:`pairing_matrix` returns."""
+    matrix, generators = pairing_matrix(model)
     size = model.gamma + 1
     for i in range(size):
         for j in range(size):
@@ -184,7 +184,7 @@ def assert_duality(model: FlagModel) -> tuple[tuple[Fraction, ...], ...]:
                     f"pairing matrix is not the identity at ({i + 1}, {j + 1}): "
                     f"{matrix[i][j]}"
                 )
-    return matrix
+    return matrix, generators
 
 
 def _model_summary(
@@ -216,19 +216,12 @@ def _model_summary(
 
 
 def _cones_section(model: FlagModel) -> ConesSection:
-    matrix = assert_duality(model)
+    matrix, generators = assert_duality(model)
     divisor_infos = tuple(
-        DivisorGeneratorInfo(
-            name=g.name,
-            label=g.label,
-            nef=g.coords,
-            pluecker=convert_basis(g, model).coords,
-        )
-        for g in nef_generators(model)
+        DivisorGeneratorInfo(g.name, g.label, g.coords, p.coords) for g, p in generators
     )
     curve_infos = tuple(
-        CurveGeneratorInfo(name=c.name, label=c.label, coords=c.coords)
-        for c in curve_generators(model)
+        CurveGeneratorInfo(c.name, c.label, c.coords) for c in curve_generators(model)
     )
     return ConesSection(divisor_infos, curve_infos, matrix)
 
@@ -324,7 +317,10 @@ def worst_exit_code(doc: ReportDocument) -> int:
 #
 # One codec serves every machine document: it is derived from the dataclass
 # fields and their type hints, compiled once per type.  JSON keys are the
-# field names unless a field carries ``metadata={"json": key}``.
+# field names unless a field carries ``metadata={"json": key}``.  A type's
+# ``emit(value, pad)`` writes what ``json.dumps(..., indent=2)`` would, with
+# ``pad`` the newline and indent its value starts on; ``decode(data, memo)``
+# reads it back, with ``memo`` the rationals decoded from this document.
 
 
 def _at(exc: ParseError, step) -> ParseError:
@@ -340,45 +336,65 @@ def _checked(kind: type, value):
     return value
 
 
-def _encode_fraction(value) -> int | str:
-    if value.denominator == 1:
-        return int(value)
-    return f"{value.numerator}/{value.denominator}"
+def _fraction_text(value) -> str:
+    """A rational as its integer or as ``"p/q"``."""
+    p, q = value.numerator, value.denominator
+    return int.__repr__(p) if q == 1 else f'"{p}/{q}"'
 
 
-# the shape of the strings _encode_fraction writes; lowest terms is checked apart
+# the JSON text of one value of each scalar type
+_WRITERS = {
+    Fraction: _fraction_text,
+    int: int.__repr__,
+    str: encode_basestring_ascii,
+    bool: {True: "true", False: "false"}.__getitem__,
+}
+
+# the shape of the strings _fraction_text writes; lowest terms is checked apart
 _CANONICAL_RATIONAL = re.compile(r"(-?[1-9]\d*)/([1-9]\d*)\Z")
 
 
-def _decode_fraction(value) -> Fraction:
-    """Inverse of :func:`_encode_fraction`: other spellings of a rational
+def _decode_fraction(token) -> Fraction:
+    """Inverse of :func:`_fraction_text`: other spellings of a rational
     (``"4/2"``, ``" 2/14 "``, ``"+3/5"``, ``"3"``) are rejected."""
-    if type(value) is int:
-        return Fraction(value)
-    match = _CANONICAL_RATIONAL.match(value) if type(value) is str else None
+    if type(token) is int:
+        return Fraction(token)
+    match = _CANONICAL_RATIONAL.match(token) if type(token) is str else None
     if match is not None:
         try:
             numerator, denominator = int(match[1]), int(match[2])
         except ValueError:
             raise ParseError(_too_many_digits()) from None
-        fraction = Fraction(numerator, denominator)
-        if 1 < fraction.denominator == denominator:
-            return fraction
-    parse_rational(value, None)  # names the fault of text that is no rational
-    raise ParseError(f'not "p/q" in lowest terms with q > 1: {value!r}')
+        if denominator > 1 and math.gcd(numerator, denominator) == 1:
+            return Fraction(numerator, denominator)
+    parse_rational(token, None)  # names the fault of text that is no rational
+    raise ParseError(f'not "p/q" in lowest terms with q > 1: {token!r}')
 
 
-def _decode_items(value, decoders, size: Optional[int]) -> tuple:
+def _decode_fraction_once(token, memo: dict) -> Fraction:
+    """:func:`_decode_fraction` once per int or str token kept in ``memo``; as
+    dict keys ``1.0`` and ``True`` equal ``1``, so no other token is looked up."""
+    if type(token) is not int and type(token) is not str:
+        return _decode_fraction(token)
+    if (value := memo.get(token)) is None:
+        value = memo[token] = _decode_fraction(token)
+    return value
+
+
+def _decode_items(value, decoders, size: Optional[int], memo: dict) -> tuple:
+    """Decode a JSON array in one pass; the locating loop runs only on error."""
     _checked(list, value)
     if size is not None and len(value) != size:
         raise ParseError(f"expected {size} items, got {len(value)}")
-    out = []
     try:
-        for decode, item in zip(decoders, value):
-            out.append(decode(item))
-    except ParseError as exc:
-        raise _at(exc, len(out)) from None
-    return tuple(out)
+        return tuple([decode(item, memo) for decode, item in zip(decoders, value)])
+    except ParseError:
+        for index, (decode, item) in enumerate(zip(decoders, value)):
+            try:
+                decode(item, memo)
+            except ParseError as exc:
+                raise _at(exc, index) from None
+        raise
 
 
 def _decode_notes(value) -> dict[str, str]:
@@ -390,24 +406,35 @@ def _decode_notes(value) -> dict[str, str]:
     return value
 
 
+def _emit_notes(value: dict[str, str], pad: str) -> str:
+    text = encode_basestring_ascii
+    return _block("{}", [f"{text(key)}: {text(note)}" for key, note in value.items()], pad)
+
+
+def _block(brackets: str, items: list[str], pad: str) -> str:
+    """``items`` one per line, indented one step further than ``pad``; the
+    brackets go onto the end items, so each level allocates its text once."""
+    if not items:
+        return brackets
+    inner = pad + "  "
+    items[0] = brackets[0] + inner + items[0]
+    items[-1] += pad + brackets[1]
+    return ("," + inner).join(items)
+
+
 def _record(cls):
     hints = get_type_hints(cls)
-    fields = [
-        (f.metadata.get("json", f.name), f.name, *_codec(hints[f.name]))
-        for f in dataclasses.fields(cls)
-    ]
+    keyed = [(f.metadata.get("json", f.name), f) for f in dataclasses.fields(cls)]
+    fields = [(key, f.name, *_codec(hints[f.name])) for key, f in keyed]
     keys = {key for key, *_ in fields}
-    # The encoder is generated source, as ``dataclasses`` generates
-    # ``__init__``: one dict display costs a third of a loop over the fields,
-    # and small documents are mostly field overhead.
-    namespace = {f"enc{i}": enc for i, (_, _, enc, _) in enumerate(fields)}
-    entries = ", ".join(
-        f"{key!r}: value.{name}" if enc is None else f"{key!r}: enc{i}(value.{name})"
-        for i, (key, name, enc, _) in enumerate(fields)
-    )
-    exec(f"def encode(value):\n    return {{{entries}}}", namespace)
+    writers = [(encode_basestring_ascii(key) + ": ", name, enc) for key, name, enc, _ in fields]
 
-    def decode(value):
+    def emit(value, pad):
+        inner = pad + "  "
+        items = [key + write(getattr(value, name), inner) for key, name, write in writers]
+        return _block("{}", items, pad)
+
+    def decode(value, memo):
         if _checked(dict, value).keys() != keys:
             missing = [key for key, *_ in fields if key not in value]
             if missing:
@@ -416,7 +443,7 @@ def _record(cls):
         items = []
         try:
             for key, _, _, dec in fields:
-                items.append(dec(value[key]))
+                items.append(dec(value[key], memo))
         except ParseError as exc:
             raise _at(exc, key) from None
         try:
@@ -424,71 +451,64 @@ def _record(cls):
         except ValidationError as exc:
             raise ParseError(str(exc)) from None
 
-    return namespace["encode"], decode
+    return emit, decode
 
 
 @functools.cache
 def _codec(tp):
-    """``(encode, decode)`` for one document type, compiled once.
+    """``(emit, decode)`` for one document type, compiled once.
 
     Supported: ``Fraction``, ``int``, ``str``, ``bool``, dataclasses,
-    ``Optional[X]``, ``tuple[X, ...]``, ``dict[str, str]`` and fixed tuples
-    whose items are all JSON already (``int``, ``str`` or ``bool``).
-    ``encode`` is None where the value is already JSON.
+    ``Optional[X]``, ``tuple[X, ...]``, ``dict[str, str]`` and fixed tuples.
     """
-    if tp is Fraction:
-        return _encode_fraction, _decode_fraction
-    if tp in (int, str, bool):
-        return None, functools.partial(_checked, tp)
+    if tp in _WRITERS:
+        write = _WRITERS[tp]
+        if tp is Fraction:
+            return (lambda value, pad: write(value)), _decode_fraction_once
+        return (lambda value, pad: write(value)), lambda value, memo: _checked(tp, value)
     if dataclasses.is_dataclass(tp):
         return _record(tp)
     origin, args = get_origin(tp), get_args(tp)
     if origin in (Union, UnionType):
-        enc, dec = _codec(args[0])
+        emit, decode = _codec(args[0])
         return (
-            None if enc is None else (lambda value: None if value is None else enc(value)),
-            lambda value: None if value is None else dec(value),
+            lambda value, pad: "null" if value is None else emit(value, pad),
+            lambda value, memo: None if value is None else decode(value, memo),
         )
     if origin is dict:
-        return dict, _decode_notes
+        return _emit_notes, lambda value, memo: _decode_notes(value)
     variadic = args[-1] is Ellipsis
-    enc, dec = _codec(args[0])
-    decoders = itertools.repeat(dec) if variadic else [_codec(arg)[1] for arg in args]
+    items = args[:1] if variadic else args
+    emitters, decoders = zip(*map(_codec, items))
+    if variadic:
+        emitters, decoders = itertools.repeat(emitters[0]), itertools.repeat(decoders[0])
     size = None if variadic else len(args)
-    if enc is not None:
-        return (
-            lambda value: [enc(item) for item in value],
-            lambda value: _decode_items(value, decoders, size),
-        )
 
-    def decode_native(value):
-        # items already JSON: one scan of their types instead of a call per
-        # item; the general path runs only to locate an error
-        if type(value) is list and (
-            set(map(type, value)) <= {args[0]} if variadic else tuple(map(type, value)) == args
-        ):
-            return tuple(value)
-        return _decode_items(value, decoders, size)
+    def emit(value, pad):
+        inner = pad + "  "
+        return _block("[]", [write(item, inner) for write, item in zip(emitters, value)], pad)
 
-    return list, decode_native
+    return emit, lambda value, memo: _decode_items(value, decoders, size, memo)
 
 
-def to_json(value):
-    """JSON-ready form of a document dataclass: exact numbers as int or ``"p/q"``."""
-    return _codec(type(value))[0](value)
+def emit(value, tp=None) -> str:
+    """What ``json.dumps(data, indent=2)`` writes for ``data`` the JSON form of
+    ``value``, a document of type ``tp`` (default ``type(value)``)."""
+    return _codec(tp or type(value))[0](value, "\n")
 
 
 def from_json(cls, data):
-    """Checked inverse of :func:`to_json`; raises a located :class:`ParseError`."""
+    """Checked inverse of :func:`emit` after ``json.loads``; raises a located
+    :class:`ParseError`.  Each rational token is decoded once per call."""
     try:
-        return _codec(cls)[1](data)
+        return _codec(cls)[1](data, {})
     except ParseError as exc:
         raise ParseError(exc.message, (exc.location or "").lstrip(".") or "document") from None
 
 
 def render_machine(doc: ReportDocument) -> str:
     """Deterministic JSON rendering of a report document."""
-    return json.dumps(to_json(doc), indent=2) + "\n"
+    return emit(doc) + "\n"
 
 
 def parse_machine(text: str) -> ReportDocument:

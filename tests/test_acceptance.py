@@ -115,7 +115,7 @@ def test_criterion_3_duality():
         model = random_model(rng, max_gamma=5)
         top_gamma = max(top_gamma, model.gamma)
         size = model.gamma + 1
-        matrix = pairing_matrix(model)
+        matrix, _ = pairing_matrix(model)
         for i in range(size):
             for j in range(size):
                 assert matrix[i][j] == (Fraction(1) if i == j else Fraction(0))

@@ -156,3 +156,37 @@ class TestParseConfig:
         data["flag"] = {"quotient_ranks": [0]}
         with pytest.raises(ValidationError):
             parse_config(as_text(data))
+
+
+# The messages parse_rational gives for bad coordinate tokens.
+FLOAT_MESSAGE = 'floating point numbers are not accepted; write "p/q"'
+BOOLEAN_MESSAGE = "expected a rational, got a boolean"
+
+
+class TestCoordinateTokens:
+    @pytest.mark.parametrize(
+        "token, message",
+        [(1.5, FLOAT_MESSAGE), ("x", "not a rational: 'x'"), (True, BOOLEAN_MESSAGE)],
+    )
+    def test_bad_token_located_in_large_config(self, token, message):
+        data = dict(GOOD)
+        data["divisors"] = [
+            {"name": f"D{k}", "basis": "nef", "coords": [1, "1/2", "3/4", 5] * 10}
+            for k in range(2000)
+        ]
+        data["divisors"][1500]["coords"][37] = token
+        with pytest.raises(ParseError) as info:
+            parse_config(as_text(data))
+        assert (info.value.location, info.value.message) == ("divisors[1500].coords[37]", message)
+
+    # Equal to the earlier 1 as dict keys, but neither is a rational.
+    @pytest.mark.parametrize("token, message", [(1.0, FLOAT_MESSAGE), (True, BOOLEAN_MESSAGE)])
+    def test_token_equal_to_an_earlier_one_rejected(self, token, message):
+        data = dict(GOOD)
+        data["divisors"] = [
+            {"name": "A", "basis": "nef", "coords": [1, 1, 1]},
+            {"name": "B", "basis": "nef", "coords": [1, token, 1]},
+        ]
+        with pytest.raises(ParseError) as info:
+            parse_config(as_text(data))
+        assert (info.value.location, info.value.message) == ("divisors[1].coords[1]", message)

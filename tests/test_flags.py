@@ -182,7 +182,7 @@ class TestPairing:
     def test_matrix_is_identity(self):
         for flag in ([4, 3], [4], [3]):
             model = model_for(HN5_A, flag)
-            matrix = pairing_matrix(model)
+            matrix, _ = pairing_matrix(model)
             size = model.gamma + 1
             assert matrix == tuple(
                 tuple(Fraction(1 if i == j else 0) for j in range(size))
@@ -191,7 +191,7 @@ class TestPairing:
 
     def test_matrix_rank_seven(self):
         model = model_for(HN7_B, [6, 5, 2, 1])
-        matrix = pairing_matrix(model)
+        matrix, _ = pairing_matrix(model)
         assert len(matrix) == 5
         assert all(matrix[i][j] == (1 if i == j else 0) for i in range(5) for j in range(5))
 

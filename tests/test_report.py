@@ -11,10 +11,12 @@ from flagcones import (
     CurveInfo,
     DivisorClass,
     InternalCheckFailure,
+    ParseError,
     ProblemConfig,
     RankNotInHNProfile,
     SemistableBundle,
     SummandSpec,
+    builtin_examples,
     parse_machine,
     render,
     render_human,
@@ -23,7 +25,9 @@ from flagcones import (
     run_cones,
     run_hn,
 )
-from flagcones.report import worst_exit_code
+from flagcones.cli import main
+from flagcones.gallery import Digest
+from flagcones.report import SeshadriSummary, emit, worst_exit_code
 from flagcones.selftest import random_config
 
 
@@ -60,7 +64,7 @@ ILL_TYPED = {
 
 # Rationals parse_machine must refuse at model.slope: each reads as a
 # rational, but none is the form render_machine writes.
-NON_CANONICAL = [" 2/14 ", "4/2", "+3/5", "3"]
+NON_CANONICAL = [" 2/14 ", "4/2", "+3/5", "3", "3/1", "0/5"]
 
 REJECTED = [pytest.param(location, mutate, id=location) for location, mutate in ILL_TYPED.items()]
 REJECTED += [
@@ -215,21 +219,44 @@ class TestMachineFormat:
         doc = run(RANK7_B)
         data = json.loads(render_machine(doc))
         data["spec_version"] = 99
-        from flagcones import ParseError
-
         with pytest.raises(ParseError):
             parse_machine(json.dumps(data))
 
     @pytest.mark.parametrize("location, mutate", REJECTED)
     def test_ill_typed_field_rejected(self, location, mutate):
-        from flagcones import ParseError
-
         data = json.loads(render_machine(run(RANK7_B)))
         mutate(data)
         with pytest.raises(ParseError) as excinfo:
             parse_machine(json.dumps(data))
         assert excinfo.value.location == location
         assert str(excinfo.value).startswith(location + ": ")
+
+    # Equal to the 1 decoded at pairing_matrix[0][0] as dict keys, but
+    # neither is a rational the codec writes.
+    @pytest.mark.parametrize(
+        "token, message",
+        [
+            (1.0, 'floating point numbers are not accepted; write "p/q"'),
+            (True, "expected a rational, got a boolean"),
+        ],
+    )
+    def test_token_equal_to_an_earlier_one_rejected(self, token, message):
+        data = json.loads(render_machine(run(RANK7_B)))
+        assert data["cones"]["pairing_matrix"][0][0] == 1
+        data["cones"]["pairing_matrix"][1][1] = token
+        with pytest.raises(ParseError) as excinfo:
+            parse_machine(json.dumps(data))
+        assert (excinfo.value.location, excinfo.value.message) == (
+            "cones.pairing_matrix[1][1]",
+            message,
+        )
+
+    def test_rational_tokens_decoded_once_per_document(self):
+        text = render_machine(run(RANK7_B))
+        first, second = parse_machine(text), parse_machine(text)
+        seshadri = first.divisors[0].seshadri
+        assert seshadri.epsilon_global is seshadri.lower
+        assert second.divisors[0].seshadri.lower is not seshadri.lower
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=60, deadline=None)
@@ -238,6 +265,69 @@ class TestMachineFormat:
         text = render_machine(doc)
         assert parse_machine(text) == doc
         assert render_machine(parse_machine(text)) == text
+
+
+def assert_json_dumps_fixed_point(text):
+    # The reference is the standard library, which shares no code with the
+    # emitter in report.py.
+    assert json.dumps(json.loads(text), indent=2) + "\n" == text
+
+
+# Names and labels the emitter must escape as json.dumps does.
+ESCAPED_TEXT = st.text(
+    st.one_of(st.sampled_from('"\\/\x00\x08\x1f\x7f\u00e9\u2028\U0001f600'), st.characters()),
+    min_size=1,
+    max_size=12,
+)
+
+
+class TestEmitter:
+    def test_gallery_documents(self):
+        for fixture in builtin_examples():
+            for runner in (run, run_cones, run_hn):
+                assert_json_dumps_fixed_point(render_machine(runner(fixture.config)))
+
+    def test_random_documents(self):
+        rng = random.Random(20231018)
+        for _ in range(200):
+            assert_json_dumps_fixed_point(render_machine(run(random_config(rng))))
+
+    @pytest.mark.parametrize(
+        "argv", [["examples", "--machine"], ["selftest", "--machine", "--trials", "5"]]
+    )
+    def test_cli_payloads(self, argv, capsys):
+        assert main(argv) == 0
+        assert_json_dumps_fixed_point(capsys.readouterr().out)
+
+    def test_int_in_fraction_field(self):
+        # A caller may build a document with ints where Fractions are typed.
+        summary = SeshadriSummary(1, 2, 1, Fraction(1, 2), None, "none", {})
+        assert json.loads(emit(summary)) == {
+            "lower": 1,
+            "upper": 2,
+            "global": 1,
+            "at_section": "1/2",
+            "general": None,
+            "general_rule": "none",
+            "notes": {},
+        }
+        assert emit(Digest(((1, 2),), 2, 3, True)) == emit(Digest(((1, 2),), Fraction(2), 3, True))
+
+    @given(label=ESCAPED_TEXT, names=st.lists(ESCAPED_TEXT, min_size=1, max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_escaped_names_and_label(self, label, names):
+        config = ProblemConfig(
+            curve=CurveInfo(0, label),
+            summands=tuple(SummandSpec(d, 1) for d in (1, 2, 0, 0, 0)),
+            hn_steps=None,
+            flag_ranks=(4, 3),
+            divisors=tuple(DivisorClass(Basis.NEF, (1, 2, 3), name=n) for n in names),
+        )
+        text = render_machine(run(config))
+        assert_json_dumps_fixed_point(text)
+        doc = parse_machine(text)
+        assert doc.model.curve.label == label
+        assert [entry.name for entry in doc.divisors] == names
 
 
 class TestHumanFormat:
@@ -267,9 +357,8 @@ class TestDualityGuard:
 
         def broken_matrix(model):
             size = model.gamma + 1
-            return tuple(
-                tuple(Fraction(1) for _ in range(size)) for _ in range(size)
-            )
+            matrix = tuple(tuple(Fraction(1) for _ in range(size)) for _ in range(size))
+            return matrix, ()
 
         monkeypatch.setattr(report_module, "pairing_matrix", broken_matrix)
         with pytest.raises(InternalCheckFailure):
