@@ -64,7 +64,6 @@ from .gallery import Digest, Fixture, builtin_examples, check_fixture, digest_of
 from .report import (
     ReportDocument,
     parse_machine,
-    render,
     render_human,
     render_machine,
     run,
@@ -73,15 +72,11 @@ from .report import (
 )
 from .seshadri import (
     DivisibilityStatus,
-    GrassmannDivisor,
     SeshadriReport,
-    Unknown,
     Witness,
     check_divisibility,
     degree_gaps,
-    epsilon_general_point,
     full_report,
-    grassmann_pseff_generators,
     seshadri_bounds,
     seshadri_ratio,
 )

@@ -28,7 +28,7 @@ from .errors import (
     InputError,
 )
 from .gallery import Digest, builtin_examples, check_fixture, find_fixture
-from .report import emit, render, run, run_cones, run_hn, worst_exit_code
+from .report import emit, render_human, render_machine, run, run_cones, run_hn, worst_exit_code
 from .selftest import CheckResult, run_selftest
 
 
@@ -52,7 +52,7 @@ def _load_config(path: str):
 
 def _cmd_report(args) -> int:
     doc = args.runner(_load_config(args.config))
-    print(render(doc, machine=args.machine), end="")
+    print((render_machine if args.machine else render_human)(doc), end="")
     return worst_exit_code(doc)
 
 
@@ -76,7 +76,7 @@ def _cmd_examples(args) -> int:
     else:
         if args.name:
             fixture, doc, actual, ok = results[0]
-            print(render(doc, machine=False), end="")
+            print(render_human(doc), end="")
             print()
         width = max(len(fixture.name) for fixture, _, _, _ in results)
         for fixture, _, actual, ok in results:

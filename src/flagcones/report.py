@@ -97,25 +97,6 @@ class ConesSection:
 
 
 @dataclass(frozen=True)
-class WitnessInfo:
-    """Per-position outcome of the divisibility check; matching step data
-    is None when the flag rank does not occur in the filtration."""
-
-    index: int
-    flag_rank: int
-    hn_index: Optional[int]
-    subbundle_degree: Optional[int]
-    divisible: Optional[bool]
-
-
-@dataclass(frozen=True)
-class AssumptionSection:
-    holds: bool
-    witnesses: tuple[WitnessInfo, ...]
-    failures: tuple[sesh.Failure, ...]
-
-
-@dataclass(frozen=True)
 class SeshadriSummary:
     lower: Fraction
     upper: Fraction
@@ -124,6 +105,10 @@ class SeshadriSummary:
     epsilon_general: Optional[Fraction] = field(metadata={"json": "general"})
     general_rule: str
     notes: dict[str, str]
+
+    def __post_init__(self):
+        if self.lower > self.upper:
+            raise ValidationError(f"lower bound {self.lower} exceeds upper bound {self.upper}")
 
 
 @dataclass(frozen=True)
@@ -151,7 +136,7 @@ class ReportDocument:
     spec_version: int
     model: ModelSummary
     cones: Optional[ConesSection] = None
-    assumption: Optional[AssumptionSection] = None
+    assumption: Optional[sesh.DivisibilityStatus] = None
     divisors: Optional[tuple[DivisorEntry, ...]] = None
 
 
@@ -226,28 +211,16 @@ def _cones_section(model: FlagModel) -> ConesSection:
     return ConesSection(divisor_infos, curve_infos, matrix)
 
 
-def _assumption_section(status: sesh.DivisibilityStatus, model: FlagModel) -> AssumptionSection:
-    witnesses = []
-    for i, (r, w) in enumerate(
-        zip(model.spec.quotient_ranks, status.witnesses), start=1
-    ):
-        if w is None:
-            witnesses.append(WitnessInfo(i, r, None, None, None))
-        else:
-            witnesses.append(
-                WitnessInfo(i, r, w.hn_index, w.subbundle_degree, w.divisible)
-            )
-    return AssumptionSection(status.holds, tuple(witnesses), status.failures)
-
-
-def _divisor_entry(divisor: DivisorClass, model: FlagModel) -> DivisorEntry:
+def _divisor_entry(
+    divisor: DivisorClass, model: FlagModel, status: sesh.DivisibilityStatus
+) -> DivisorEntry:
     """Evaluate one divisor; the fields reached before a failure are kept."""
     nef_coords = classification = summary = error = None
     try:
         converted = to_nef(divisor, model)
         nef_coords = converted.coords
         classification = classify_divisor(converted, model).value
-        report = sesh.full_report(converted, model)
+        report = sesh.full_report(converted, model, status)
         summary = SeshadriSummary(
             lower=report.lower,
             upper=report.upper,
@@ -293,12 +266,12 @@ def run(config: ProblemConfig) -> ReportDocument:
     """
     model = model_from_config(config)
     status = sesh.check_divisibility(model)
-    entries = tuple(_divisor_entry(divisor, model) for divisor in config.divisors)
+    entries = tuple(_divisor_entry(divisor, model, status) for divisor in config.divisors)
     return ReportDocument(
         SPEC_VERSION,
         _model_summary(config, model.hn, model),
         _cones_section(model),
-        _assumption_section(status, model),
+        status,
         entries,
     )
 
@@ -578,7 +551,7 @@ def _render_cones(c: ConesSection) -> list[str]:
     return lines
 
 
-def _render_assumption(a: AssumptionSection) -> list[str]:
+def _render_assumption(a: sesh.DivisibilityStatus) -> list[str]:
     lines = [
         "divisibility condition",
         f"  holds: {'yes' if a.holds else 'no'}",
@@ -636,8 +609,3 @@ def render_human(doc: ReportDocument) -> str:
         for entry in doc.divisors:
             lines.extend(_render_divisor(entry))
     return "\n".join(lines) + "\n"
-
-
-def render(doc: ReportDocument, machine: bool = False) -> str:
-    """Render a document in human or machine mode."""
-    return render_machine(doc) if machine else render_human(doc)

@@ -14,10 +14,9 @@ unknown.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from .errors import (
     DivisibilityNotSatisfied,
@@ -62,29 +61,23 @@ RULE_CONSTANT = "constant_case"
 RULE_DIVISIBILITY = "divisibility_condition"
 RULE_OPEN = "open"
 
-UNIQUE_SECTION_NOTE = (
-    "the linear system of this class contains exactly one effective divisor "
-    "(one-dimensional space of sections)"
-)
-
 
 @dataclass(frozen=True)
 class Witness:
-    """Filtration step matching one flagged quotient rank.
+    """Outcome of the divisibility condition at one flag position.
 
     ``index`` is the 1-based position in the flag, ``hn_index`` the
-    1-based filtration step whose rank equals ``flag_rank``, and
-    ``subbundle_degree`` that step's degree.
+    1-based filtration step whose rank equals ``flag_rank``,
+    ``subbundle_degree`` that step's degree and ``divisible`` whether
+    ``flag_rank`` divides it; all three are ``None`` when no step has
+    that rank.
     """
 
     index: int
     flag_rank: int
-    hn_index: int
-    subbundle_degree: int
-
-    @property
-    def divisible(self) -> bool:
-        return self.subbundle_degree % self.flag_rank == 0
+    hn_index: Optional[int]
+    subbundle_degree: Optional[int]
+    divisible: Optional[bool]
 
 
 @dataclass(frozen=True)
@@ -97,48 +90,47 @@ class Failure:
 
 @dataclass(frozen=True)
 class DivisibilityStatus:
-    """Outcome of the divisibility condition check.
-
-    ``witnesses`` has one entry per flag position: the matching step when
-    the rank occurs in the filtration (even if its degree fails the
-    divisibility test), else ``None``.
-    """
+    """Outcome of the divisibility condition check, one witness per flag
+    position; it is the ``assumption`` section of a machine document."""
 
     holds: bool
-    witnesses: tuple[Optional[Witness], ...]
+    witnesses: tuple[Witness, ...]
     failures: tuple[Failure, ...]
 
-    def subbundle_degrees(self) -> tuple[int, ...]:
-        """Matched step degrees; only meaningful when the condition holds."""
-        if not self.holds:
-            raise DivisibilityNotSatisfied(
-                "subbundle degrees are only defined when the condition holds"
-            )
-        return tuple(w.subbundle_degree for w in self.witnesses)
+    def __post_init__(self):
+        if self.holds != (not self.failures):
+            raise ValidationError(f"holds is {self.holds} with {len(self.failures)} failures")
 
 
-@functools.lru_cache(maxsize=1)
 def check_divisibility(model: FlagModel) -> DivisibilityStatus:
     """Check the divisibility condition for every flagged quotient rank.
 
     For each flag position i the filtration is searched for a step of
     rank exactly ``r_i`` (unique when present, since ranks strictly
     increase); the condition at i holds when such a step exists and its
-    degree is a multiple of ``r_i``.  The status depends on the immutable
-    model alone, so the last one is cached: a report scans once per model.
+    degree is a multiple of ``r_i``.
+
+    >>> from .bundles import SplitBundle, hn_filtration
+    >>> from .flags import build_model, make_flag_spec
+    >>> hn = hn_filtration(SplitBundle((1, 2, 0, 0, 0)))
+    >>> status = check_divisibility(build_model(hn, make_flag_spec(hn, (4, 3))))
+    >>> status.witnesses[0]
+    Witness(index=1, flag_rank=4, hn_index=None, subbundle_degree=None, divisible=None)
+    >>> status.holds, [failure.reason for failure in status.failures]
+    (False, ['no_rank_match', 'no_rank_match'])
     """
-    witnesses: list[Optional[Witness]] = []
+    witnesses: list[Witness] = []
     failures: list[Failure] = []
     for i, r in enumerate(model.spec.quotient_ranks, start=1):
-        match = None
+        witness = Witness(i, r, None, None, None)
         for c, step in enumerate(model.hn.steps, start=1):
             if step.rank == r:
-                match = Witness(i, r, c, step.degree)
+                witness = Witness(i, r, c, step.degree, step.degree % r == 0)
                 break
-        witnesses.append(match)
-        if match is None:
+        witnesses.append(witness)
+        if witness.hn_index is None:
             failures.append(Failure(i, NO_RANK_MATCH))
-        elif not match.divisible:
+        elif not witness.divisible:
             failures.append(Failure(i, NOT_DIVISIBLE))
     return DivisibilityStatus(not failures, tuple(witnesses), tuple(failures))
 
@@ -175,30 +167,6 @@ def _general_rule(
     if holds:
         return upper, RULE_DIVISIBILITY, NOTE_GENERAL_DIVISIBILITY
     return None, RULE_OPEN, NOTE_GENERAL_OPEN
-
-
-@dataclass(frozen=True)
-class Unknown:
-    """Open outcome for the very-general value, carrying the known bounds."""
-
-    lower: Fraction
-    upper: Fraction
-    reason: str = NOTE_GENERAL_OPEN
-
-
-def epsilon_general_point(
-    divisor: DivisorClass, model: FlagModel
-) -> Union[Fraction, Unknown]:
-    """Value at very general points, or :class:`Unknown`.
-
-    The unconditional constant case (``b >= min(a)``) is checked first so
-    that it never reports unknown; otherwise the divisibility condition
-    decides between the exact value ``min(a_1..a_g)`` and an open
-    outcome carrying the two-sided bounds.
-    """
-    lower, upper = seshadri_bounds(divisor, model)
-    general, _, _ = _general_rule(lower, upper, check_divisibility(model).holds)
-    return Unknown(lower, upper) if general is None else general
 
 
 def seshadri_ratio(
@@ -243,46 +211,6 @@ def degree_gaps(model: FlagModel, status: DivisibilityStatus) -> tuple[int, ...]
 
 
 @dataclass(frozen=True)
-class GrassmannDivisor:
-    """Divisor class on one Grassmannian factor, ``h*H + c*f`` shape."""
-
-    label: str
-    hyperplane_coeff: int
-    base_coeff: int
-    note: str = ""
-
-
-def grassmann_pseff_generators(
-    model: FlagModel, status: DivisibilityStatus, i: int
-) -> tuple[GrassmannDivisor, GrassmannDivisor]:
-    """Generators of the pseudo-effective cone of the i-th Grassmannian bundle.
-
-    Under the divisibility condition the cone is spanned by
-    ``H - z_i * f`` (with ``z_i`` the matched subbundle degree) and the
-    fiber class ``f``; the first carries the uniqueness note for its
-    linear system.
-    """
-    if not status.holds:
-        raise DivisibilityNotSatisfied(
-            "pseudo-effective generators are only described when the "
-            "divisibility condition holds"
-        )
-    if not 1 <= i <= model.gamma:
-        raise ValidationError(f"index {i} out of range 1..{model.gamma}")
-    z = status.witnesses[i - 1].subbundle_degree
-    if z == 0:
-        sign = ""
-        boundary_label = "H"
-    else:
-        sign = "-" if z > 0 else "+"
-        boundary_label = f"H {sign} {abs(z)}*f"
-    return (
-        GrassmannDivisor(boundary_label, 1, -z, note=UNIQUE_SECTION_NOTE),
-        GrassmannDivisor("f", 0, 1),
-    )
-
-
-@dataclass(frozen=True)
 class SeshadriReport:
     """All Seshadri data for one nef divisor class.
 
@@ -301,11 +229,18 @@ class SeshadriReport:
     notes: dict[str, str]
 
 
-def full_report(divisor: DivisorClass, model: FlagModel) -> SeshadriReport:
-    """Assemble bounds, exact values, and the condition check for one class."""
+def full_report(
+    divisor: DivisorClass, model: FlagModel, status: Optional[DivisibilityStatus] = None
+) -> SeshadriReport:
+    """Assemble bounds, exact values, and the condition check for one class.
+
+    ``status`` is ``check_divisibility(model)``, scanned here when not
+    given; a caller reporting many classes of one model scans it once.
+    """
     converted = to_nef(divisor, model)
     lower, upper = seshadri_bounds(converted, model)
-    status = check_divisibility(model)
+    if status is None:
+        status = check_divisibility(model)
     general, rule, general_note = _general_rule(lower, upper, status.holds)
     notes = {
         "lower": NOTE_LOWER,

@@ -18,7 +18,6 @@ from flagcones import (
     SummandSpec,
     builtin_examples,
     parse_machine,
-    render,
     render_human,
     render_machine,
     run,
@@ -27,7 +26,8 @@ from flagcones import (
 )
 from flagcones.cli import main
 from flagcones.gallery import Digest
-from flagcones.report import SeshadriSummary, emit, worst_exit_code
+from flagcones.report import SeshadriSummary, emit, model_from_config, worst_exit_code
+from flagcones.seshadri import check_divisibility, full_report
 from flagcones.selftest import random_config
 
 
@@ -60,6 +60,8 @@ ILL_TYPED = {
     "model.picard_rank": lambda d: d["model"].__setitem__("picard_rank", True),
     "cones.pairing_matrix[2][1]": lambda d: d["cones"]["pairing_matrix"][2].__setitem__(1, "1/0"),
     "model.curve": lambda d: d["model"]["curve"].__setitem__("genus", -1),
+    "divisors[0].seshadri": lambda d: d["divisors"][0]["seshadri"].__setitem__("lower", 5),
+    "assumption": lambda d: d["assumption"].__setitem__("holds", not d["assumption"]["holds"]),
 }
 
 # Rationals parse_machine must refuse at model.slope: each reads as a
@@ -130,15 +132,32 @@ class TestRun:
         assert short.nef_coords is None
         assert worst_exit_code(doc) == 3
 
-    def test_divisibility_scanned_once_per_model(self):
-        from flagcones.seshadri import check_divisibility
+    def test_divisibility_scanned_once_per_model(self, monkeypatch):
+        import flagcones.seshadri as seshadri_module
 
+        scans = []
+
+        def counted(model):
+            scans.append(model)
+            return check_divisibility(model)
+
+        monkeypatch.setattr(seshadri_module, "check_divisibility", counted)
         nef = [DivisorClass(Basis.NEF, (k, 1, 2, 3, 4), name=f"L{k}") for k in range(1, 4)]
         config = config_for((8, 2, 0, 0, 0, -4, -5), (6, 5, 2, 1), divisors=nef)
-        check_divisibility.cache_clear()
         run(config)
-        info = check_divisibility.cache_info()
-        assert (info.misses, info.hits) == (1, len(nef))
+        assert len(scans) == 1
+        # without a status, full_report scans for itself
+        model = model_from_config(config)
+        assert full_report(nef[0], model).assumption == check_divisibility(model)
+        assert len(scans) == 2
+
+    def test_assumption_is_the_scan(self):
+        for config in (
+            RANK7_B,
+            config_for((1, -1, 0, 0, 0), (4, 1)),
+            config_for((1, 2, 0, 0, 0), (4, 3)),
+        ):
+            assert run(config).assumption == check_divisibility(model_from_config(config))
 
     def test_exit_code_clean(self):
         assert worst_exit_code(run(RANK7_B)) == 0
@@ -344,11 +363,6 @@ class TestHumanFormat:
         text = render_human(run(config))
         assert "eps very general  unknown" in text
         assert "open" in text
-
-    def test_render_dispatch(self):
-        doc = run(RANK7_B)
-        assert render(doc, machine=True) == render_machine(doc)
-        assert render(doc, machine=False) == render_human(doc)
 
 
 class TestDualityGuard:

@@ -13,16 +13,13 @@ from flagcones import (
     DivisorClass,
     NotNef,
     SplitBundle,
-    Unknown,
     ValidationError,
     ZeroMultiplicity,
     build_model,
     check_divisibility,
     curve_generators,
     degree_gaps,
-    epsilon_general_point,
     full_report,
-    grassmann_pseff_generators,
     hn_filtration,
     make_flag_spec,
     seshadri_bounds,
@@ -48,13 +45,13 @@ class TestDivisibilityCheck:
     def test_holds_with_witnesses(self):
         status = check_divisibility(MODEL_C)
         assert status.holds
-        assert status.subbundle_degrees() == (4, 4)
+        assert [w.subbundle_degree for w in status.witnesses] == [4, 4]
         assert [w.hn_index for w in status.witnesses] == [2, 1]
 
     def test_no_rank_match(self):
         status = check_divisibility(MODEL_A)
         assert not status.holds
-        assert status.witnesses == (None, None)
+        assert all(w.hn_index is None for w in status.witnesses)
         assert [(f.index, f.reason) for f in status.failures] == [
             (1, "no_rank_match"),
             (2, "no_rank_match"),
@@ -76,7 +73,7 @@ class TestDivisibilityCheck:
     def test_full_flag_witnesses(self):
         status = check_divisibility(MODEL_7B)
         assert status.holds
-        assert status.subbundle_degrees() == (6, 10, 10, 8)
+        assert [w.subbundle_degree for w in status.witnesses] == [6, 10, 10, 8]
 
 
 class TestBounds:
@@ -138,19 +135,21 @@ class TestConstantCase:
 
 class TestGeneralPoint:
     def test_known_under_condition(self):
-        assert epsilon_general_point(DivisorClass(Basis.NEF, (3, 4, 1)), MODEL_C) == 3
+        report = full_report(DivisorClass(Basis.NEF, (3, 4, 1)), MODEL_C)
+        assert (report.epsilon_general, report.general_rule) == (3, "divisibility_condition")
 
     def test_unknown_when_condition_fails(self):
-        result = epsilon_general_point(DivisorClass(Basis.NEF, (3, 4, 1)), MODEL_A)
-        assert isinstance(result, Unknown)
-        assert (result.lower, result.upper) == (1, 3)
+        report = full_report(DivisorClass(Basis.NEF, (3, 4, 1)), MODEL_A)
+        assert (report.epsilon_general, report.general_rule) == (None, "open")
+        assert (report.lower, report.upper) == (1, 3)
 
     def test_constant_case_needs_no_condition(self):
-        assert epsilon_general_point(DivisorClass(Basis.NEF, (2, 3, 5)), MODEL_A) == 2
+        report = full_report(DivisorClass(Basis.NEF, (2, 3, 5)), MODEL_A)
+        assert (report.epsilon_general, report.general_rule) == (2, "constant_case")
 
     def test_unknown_for_divisibility_failure(self):
-        result = epsilon_general_point(DivisorClass(Basis.NEF, (3, 4, 1)), MODEL_B)
-        assert isinstance(result, Unknown)
+        report = full_report(DivisorClass(Basis.NEF, (3, 4, 1)), MODEL_B)
+        assert (report.epsilon_general, report.general_rule) == (None, "open")
 
 
 class TestRatio:
@@ -197,48 +196,20 @@ class TestDegreeGaps:
         with pytest.raises(ValidationError):
             degree_gaps(MODEL_7B, status)
 
+    def test_zero_degree_subbundle(self):
+        # a degree-0 matched step is legal
+        hn = validate_hn([(1, 1), (2, 0), (3, -2)])
+        model = build_model(hn, make_flag_spec(hn, [2]))
+        status = check_divisibility(model)
+        assert status.holds and [w.subbundle_degree for w in status.witnesses] == [0]
+        assert degree_gaps(model, status) == (3,)
+
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_gaps_at_least_one(self, seed):
         rng = random.Random(seed)
         model, status = random_divisibility_model(rng)
         assert all(g >= 1 for g in degree_gaps(model, status))
-
-
-class TestPseffGenerators:
-    def test_rank_five(self):
-        status = check_divisibility(MODEL_C)
-        boundary, fiber = grassmann_pseff_generators(MODEL_C, status, 1)
-        assert (boundary.hyperplane_coeff, boundary.base_coeff) == (1, -4)
-        assert boundary.label == "H - 4*f"
-        assert "exactly one effective divisor" in boundary.note
-        assert (fiber.hyperplane_coeff, fiber.base_coeff) == (0, 1)
-
-    def test_rank_seven_second_factor(self):
-        status = check_divisibility(MODEL_7B)
-        boundary, _ = grassmann_pseff_generators(MODEL_7B, status, 2)
-        assert boundary.base_coeff == -10
-
-    def test_zero_degree_subbundle(self):
-        # a degree-0 matched step is legal; the boundary generator is plain H
-        hn = validate_hn([(1, 1), (2, 0), (3, -2)])
-        model = build_model(hn, make_flag_spec(hn, [2]))
-        status = check_divisibility(model)
-        assert status.holds and status.subbundle_degrees() == (0,)
-        boundary, fiber = grassmann_pseff_generators(model, status, 1)
-        assert boundary.label == "H"
-        assert (boundary.hyperplane_coeff, boundary.base_coeff) == (1, 0)
-        assert degree_gaps(model, status) == (3,)
-
-    def test_requires_condition(self):
-        status = check_divisibility(MODEL_A)
-        with pytest.raises(DivisibilityNotSatisfied):
-            grassmann_pseff_generators(MODEL_A, status, 1)
-
-    def test_index_range(self):
-        status = check_divisibility(MODEL_C)
-        with pytest.raises(ValidationError):
-            grassmann_pseff_generators(MODEL_C, status, 3)
 
 
 class TestFullReport:
