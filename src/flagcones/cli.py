@@ -19,7 +19,6 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .bundles import DEFAULT_ORACLE_CAP
 from .config import parse_config
 from .errors import (
     EXIT_INTERNAL,
@@ -57,16 +56,8 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_examples(args) -> int:
-    if args.name:
-        fixtures = [find_fixture(args.name)]
-    else:
-        fixtures = list(builtin_examples())
-    results = []
-    any_failed = False
-    for fixture in fixtures:
-        doc, actual, ok = check_fixture(fixture)
-        any_failed = any_failed or not ok
-        results.append((fixture, doc, actual, ok))
+    fixtures = [find_fixture(args.name)] if args.name else builtin_examples()
+    results = [(fixture, *check_fixture(fixture)) for fixture in fixtures]
     if args.machine:
         outcomes = tuple(
             FixtureOutcome(fixture.name, ok, fixture.digest, actual)
@@ -75,9 +66,7 @@ def _cmd_examples(args) -> int:
         print(emit(outcomes, tuple[FixtureOutcome, ...]))
     else:
         if args.name:
-            fixture, doc, actual, ok = results[0]
-            print(render_human(doc), end="")
-            print()
+            print(render_human(results[0][1]))
         width = max(len(fixture.name) for fixture, _, _, _ in results)
         for fixture, _, actual, ok in results:
             verdict = "PASS" if ok else "FAIL"
@@ -86,16 +75,14 @@ def _cmd_examples(args) -> int:
                 f"{verdict}  {fixture.name.ljust(width)}  slope {actual.slope}  "
                 f"picard rank {actual.picard_rank}  divisibility {condition}"
             )
-    if any_failed:
+    if not all(ok for *_, ok in results):
         print("fixture digest mismatch", file=sys.stderr)
         return EXIT_INTERNAL
     return EXIT_OK
 
 
 def _cmd_selftest(args) -> int:
-    results = run_selftest(
-        seed=args.seed, oracle_cap=args.oracle_cap, trials=args.trials
-    )
+    results = run_selftest(seed=args.seed, trials=args.trials)
     if args.machine:
         print(emit(tuple(results), tuple[CheckResult, ...]))
     else:
@@ -110,6 +97,13 @@ def _cmd_selftest(args) -> int:
         print("selftest failed", file=sys.stderr)
         return EXIT_INTERNAL
     return EXIT_OK
+
+
+def positive_int(text: str) -> int:
+    """argparse type: an integer of at least 1."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected at least 1, got {text}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -145,18 +139,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_self = sub.add_parser("selftest", help="oracle equivalence + invariants")
     add_common(p_self)
     p_self.add_argument(
-        "--oracle-cap",
-        type=int,
-        default=DEFAULT_ORACLE_CAP,
-        metavar="N",
-        help=f"brute-force rank cap (default {DEFAULT_ORACLE_CAP})",
-    )
-    p_self.add_argument(
         "--seed", type=int, default=0, metavar="S", help="randomization seed"
     )
     p_self.add_argument(
         "--trials",
-        type=int,
+        type=positive_int,
         default=200,
         metavar="T",
         help="trials per randomized check (default 200)",

@@ -89,11 +89,27 @@ class CurveGeneratorInfo:
     coords: tuple[Fraction, ...]
 
 
+def _identity_mismatch(matrix, size: int) -> str:
+    """Where ``matrix`` differs from the ``size`` x ``size`` identity, or ''."""
+    if len(matrix) != size or any(len(row) != size for row in matrix):
+        return f"pairing matrix is not {size} x {size}"
+    for i, row in enumerate(matrix):
+        for j, entry in enumerate(row):
+            if entry != (1 if i == j else 0):
+                return f"pairing matrix is not the identity at ({i + 1}, {j + 1}): {entry}"
+    return ""
+
+
 @dataclass(frozen=True)
 class ConesSection:
     nef_generators: tuple[DivisorGeneratorInfo, ...]
     curve_generators: tuple[CurveGeneratorInfo, ...]
     pairing_matrix: tuple[tuple[Fraction, ...], ...]
+
+    def __post_init__(self):
+        problem = _identity_mismatch(self.pairing_matrix, len(self.pairing_matrix))
+        if problem:
+            raise ValidationError(problem)
 
 
 @dataclass(frozen=True)
@@ -160,15 +176,9 @@ def assert_duality(model: FlagModel):
     """Recompute the pairing matrix and require it to be the identity;
     returns what :func:`pairing_matrix` returns."""
     matrix, generators = pairing_matrix(model)
-    size = model.gamma + 1
-    for i in range(size):
-        for j in range(size):
-            expected = Fraction(1) if i == j else Fraction(0)
-            if matrix[i][j] != expected:
-                raise InternalCheckFailure(
-                    f"pairing matrix is not the identity at ({i + 1}, {j + 1}): "
-                    f"{matrix[i][j]}"
-                )
+    problem = _identity_mismatch(matrix, model.gamma + 1)
+    if problem:
+        raise InternalCheckFailure(problem)
     return matrix, generators
 
 

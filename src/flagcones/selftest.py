@@ -7,6 +7,7 @@ list and reports one line per check.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -14,7 +15,6 @@ from fractions import Fraction
 
 from . import seshadri as sesh
 from .bundles import (
-    DEFAULT_ORACLE_CAP,
     CurveInfo,
     HNFiltration,
     SplitBundle,
@@ -209,45 +209,38 @@ class CheckResult:
         return self.failures == 0
 
 
-def _check_oracle(rng, trials, cap) -> CheckResult:
-    failures = 0
-    detail = ""
-    for _ in range(trials):
-        bundle = random_split_bundle(rng, max_rank=min(8, cap))
-        if hn_filtration(bundle) != hn_brute_force_oracle(bundle, cap=cap):
-            failures += 1
-            detail = detail or f"mismatch for degrees {bundle.summand_degrees}"
-    return CheckResult("hn-oracle-equivalence", trials, failures, detail)
+def _run_check(name: str, trial, inputs) -> CheckResult:
+    """Run ``trial`` on each input in order; it returns ``""`` or what went
+    wrong.  Counts the failures and keeps the first description."""
+    problems = list(map(trial, inputs))
+    failed = [problem for problem in problems if problem]
+    return CheckResult(name, len(problems), len(failed), failed[0] if failed else "")
 
 
-def _check_pairing(rng, trials) -> CheckResult:
-    failures = 0
-    detail = ""
-    for _ in range(trials):
-        model = random_model(rng)
-        try:
-            assert_duality(model)
-        except InternalCheckFailure as exc:
-            failures += 1
-            detail = detail or f"{exc} for steps {model.hn.step_pairs()}"
-    return CheckResult("pairing-identity", trials, failures, detail)
+def _oracle_trial(rng) -> str:
+    bundle = random_split_bundle(rng)
+    same = hn_filtration(bundle) == hn_brute_force_oracle(bundle)
+    return "" if same else f"mismatch for degrees {bundle.summand_degrees}"
 
 
-def _check_basis_roundtrip(rng, trials) -> CheckResult:
-    failures = 0
-    detail = ""
-    for _ in range(trials):
-        model = random_model(rng)
-        divisor = random_divisor(rng, model.gamma)
-        back = convert_basis(convert_basis(divisor, model), model)
-        if back != divisor:
-            failures += 1
-            detail = detail or f"round trip moved {divisor.coords}"
-    return CheckResult("basis-roundtrip", trials, failures, detail)
+def _pairing_trial(rng) -> str:
+    model = random_model(rng)
+    try:
+        assert_duality(model)
+    except InternalCheckFailure as exc:
+        return f"{exc} for steps {model.hn.step_pairs()}"
+    return ""
 
 
-def _seshadri_invariants_hold(rng, model) -> str:
-    """One randomized divisor check; returns a failure description or ''."""
+def _basis_roundtrip_trial(rng) -> str:
+    model = random_model(rng)
+    divisor = random_divisor(rng, model.gamma)
+    same = convert_basis(convert_basis(divisor, model), model) == divisor
+    return "" if same else f"round trip moved {divisor.coords}"
+
+
+def _seshadri_trial(rng) -> str:
+    model = random_model(rng)
     divisor = random_nef_divisor(rng, model.gamma)
     report = sesh.full_report(divisor, model)
     coords = report.divisor.coords
@@ -286,70 +279,40 @@ def _seshadri_invariants_hold(rng, model) -> str:
     return ""
 
 
-def _check_seshadri(rng, trials) -> CheckResult:
-    failures = 0
-    detail = ""
-    for _ in range(trials):
-        model = random_model(rng)
-        problem = _seshadri_invariants_hold(rng, model)
-        if problem:
-            failures += 1
-            detail = detail or problem
-    return CheckResult("seshadri-invariants", trials, failures, detail)
+def _gap_trial(rng) -> str:
+    model, status = random_divisibility_model(rng)
+    if all(g >= 1 for g in sesh.degree_gaps(model, status)):
+        return ""
+    return f"gap below 1 for steps {model.hn.step_pairs()} flag {model.spec.quotient_ranks}"
 
 
-def _check_gaps(rng, trials) -> CheckResult:
-    failures = 0
-    detail = ""
-    for _ in range(trials):
-        model, status = random_divisibility_model(rng)
-        gaps = sesh.degree_gaps(model, status)
-        if any(g < 1 for g in gaps):
-            failures += 1
-            detail = detail or (
-                f"gap below 1 for steps {model.hn.step_pairs()} "
-                f"flag {model.spec.quotient_ranks}"
-            )
-    return CheckResult("divisibility-gap", trials, failures, detail)
+def _machine_roundtrip_trial(rng) -> str:
+    doc = run(random_config(rng))
+    text = render_machine(doc)
+    same = parse_machine(text) == doc and render_machine(parse_machine(text)) == text
+    return "" if same else "document changed through render/parse"
 
 
-def _check_machine_roundtrip(rng, trials) -> CheckResult:
-    failures = 0
-    detail = ""
-    for _ in range(trials):
-        doc = run(random_config(rng))
-        text = render_machine(doc)
-        if parse_machine(text) != doc or render_machine(parse_machine(text)) != text:
-            failures += 1
-            detail = detail or "document changed through render/parse"
-    return CheckResult("machine-roundtrip", trials, failures, detail)
+def _fixture_trial(fixture) -> str:
+    _, actual, ok = check_fixture(fixture)
+    return "" if ok else f"{fixture.name}: got {actual}"
 
 
-def _check_fixtures() -> CheckResult:
-    fixtures = builtin_examples()
-    failures = 0
-    detail = ""
-    for fixture in fixtures:
-        _, actual, ok = check_fixture(fixture)
-        if not ok:
-            failures += 1
-            detail = detail or f"{fixture.name}: got {actual}"
-    return CheckResult("fixture-digests", len(fixtures), failures, detail)
+def run_selftest(seed: int = 0, trials: int = 200) -> list[CheckResult]:
+    """Run every check with its own seeded generator; deterministic.
 
-
-def run_selftest(
-    seed: int = 0,
-    oracle_cap: int = DEFAULT_ORACLE_CAP,
-    trials: int = 200,
-) -> list[CheckResult]:
-    """Run every check with its own seeded generator; deterministic."""
-    results = [
-        _check_oracle(random.Random(seed), trials, oracle_cap),
-        _check_pairing(random.Random(seed + 1), trials),
-        _check_basis_roundtrip(random.Random(seed + 2), trials),
-        _check_seshadri(random.Random(seed + 3), trials),
-        _check_gaps(random.Random(seed + 4), max(1, trials // 2)),
-        _check_machine_roundtrip(random.Random(seed + 5), max(1, trials // 4)),
-        _check_fixtures(),
+    The randomized checks draw from ``Random(seed + k)``, k their position.
+    """
+    randomized = [
+        ("hn-oracle-equivalence", _oracle_trial, trials),
+        ("pairing-identity", _pairing_trial, trials),
+        ("basis-roundtrip", _basis_roundtrip_trial, trials),
+        ("seshadri-invariants", _seshadri_trial, trials),
+        ("divisibility-gap", _gap_trial, max(1, trials // 2)),
+        ("machine-roundtrip", _machine_roundtrip_trial, max(1, trials // 4)),
     ]
-    return results
+    results = [
+        _run_check(name, trial, itertools.repeat(random.Random(seed + k), count))
+        for k, (name, trial, count) in enumerate(randomized)
+    ]
+    return results + [_run_check("fixture-digests", _fixture_trial, builtin_examples())]

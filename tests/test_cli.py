@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from flagcones.bundles import validate_hn
 from flagcones.cli import main
 
 GOOD = """
@@ -113,6 +114,20 @@ class TestSubcommands:
         data = json.loads(capsys.readouterr().out)
         assert all(entry["failures"] == 0 for entry in data)
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_selftest_rejects_trials_below_one(self, capsys, trials):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["selftest", "--trials", trials])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument --trials: expected at least 1, got {trials}" in err
+
+    def test_oracle_cap_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["selftest", "--oracle-cap", "0"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --oracle-cap 0" in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_missing_file(self, capsys):
@@ -177,6 +192,19 @@ class TestInternalFailureExit:
         captured = capsys.readouterr()
         assert "FAIL" in captured.out
         assert "mismatch" in captured.err
+
+    def test_selftest_check_failure_is_4(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            "flagcones.selftest.hn_brute_force_oracle",
+            lambda bundle, **_: validate_hn([(1, 0)]),
+        )
+        assert main(["selftest", "--trials", "4", "--seed", "2"]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == "selftest failed\n"
+        lines = captured.out.splitlines()
+        assert lines[0] == "FAIL  hn-oracle-equivalence  4 trials  (mismatch for degrees (-4,))"
+        assert len(lines) == 7
+        assert all(line.startswith("ok    ") for line in lines[1:])
 
 
 class TestConsoleScript:

@@ -62,6 +62,7 @@ ILL_TYPED = {
     "model.curve": lambda d: d["model"]["curve"].__setitem__("genus", -1),
     "divisors[0].seshadri": lambda d: d["divisors"][0]["seshadri"].__setitem__("lower", 5),
     "assumption": lambda d: d["assumption"].__setitem__("holds", not d["assumption"]["holds"]),
+    "cones": lambda d: d["cones"]["pairing_matrix"][0].__setitem__(1, 7),
 }
 
 # Rationals parse_machine must refuse at model.slope: each reads as a
@@ -69,6 +70,7 @@ ILL_TYPED = {
 NON_CANONICAL = [" 2/14 ", "4/2", "+3/5", "3", "3/1", "0/5"]
 
 REJECTED = [pytest.param(location, mutate, id=location) for location, mutate in ILL_TYPED.items()]
+REJECTED += [pytest.param("cones", lambda d: d["cones"]["pairing_matrix"].pop(), id="cones-not-square")]
 REJECTED += [
     pytest.param("model.slope", lambda d, v=v: d["model"].__setitem__("slope", v), id=f"model.slope={v!r}")
     for v in NON_CANONICAL
@@ -375,7 +377,14 @@ class TestDualityGuard:
             return matrix, ()
 
         monkeypatch.setattr(report_module, "pairing_matrix", broken_matrix)
-        with pytest.raises(InternalCheckFailure):
+        with pytest.raises(InternalCheckFailure, match=r"not the identity at \(1, 2\): 1$"):
+            run(RANK7_B)
+
+    def test_matrix_of_wrong_size_is_caught(self, monkeypatch):
+        import flagcones.report as report_module
+
+        monkeypatch.setattr(report_module, "pairing_matrix", lambda model: (((Fraction(1),),), ()))
+        with pytest.raises(InternalCheckFailure, match="pairing matrix is not 5 x 5"):
             run(RANK7_B)
 
     def test_conversion_without_twist_is_caught(self, monkeypatch):
