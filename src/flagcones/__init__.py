@@ -19,6 +19,7 @@ from .bundles import (
     SplitBundle,
     hn_brute_force_oracle,
     hn_filtration,
+    split_steps,
     validate_hn,
 )
 from .config import ProblemConfig, SummandSpec, parse_config, parse_rational

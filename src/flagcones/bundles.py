@@ -12,7 +12,8 @@ produced.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -59,7 +60,6 @@ class SplitBundle:
     """
 
     summand_degrees: tuple[int, ...]
-    curve: CurveInfo = field(default_factory=CurveInfo)
 
     def __post_init__(self):
         degrees = tuple(self.summand_degrees)
@@ -197,25 +197,27 @@ class HNFiltration:
         return tuple((step.rank, step.degree) for step in self.steps)
 
 
-def hn_filtration(bundle: SplitBundle) -> HNFiltration:
-    """Harder-Narasimhan filtration of a split bundle.
+def split_steps(summands: Iterable[tuple[int, int]]) -> tuple[HNStep, ...]:
+    """Harder-Narasimhan steps of the split bundle with these
+    ``(degree, multiplicity)`` summands: one step per distinct degree,
+    largest first, so the quotient slopes are the distinct degrees.
+    Multiplicities are added up, never expanded."""
+    counts: Counter = Counter()
+    for degree, multiplicity in summands:
+        counts[degree] += multiplicity
+    order = sorted(counts, reverse=True)
+    ranks = itertools.accumulate(counts[d] for d in order)
+    degrees = itertools.accumulate(d * counts[d] for d in order)
+    return tuple(map(HNStep, ranks, degrees))
 
-    Summands are grouped by degree in strictly decreasing order; step j
-    accumulates every summand whose degree is among the j largest
-    distinct values, so the quotient slopes are exactly the distinct
-    degrees, descending.
+
+def hn_filtration(bundle: SplitBundle) -> HNFiltration:
+    """Harder-Narasimhan filtration of a split bundle; see :func:`split_steps`.
 
     >>> hn_filtration(SplitBundle((1, 2, 0, 0, 0))).step_pairs()
     ((1, 2), (2, 3), (5, 3))
     """
-    steps = []
-    rank = degree = 0
-    for value in sorted(set(bundle.summand_degrees), reverse=True):
-        count = bundle.summand_degrees.count(value)
-        rank += count
-        degree += value * count
-        steps.append(HNStep(rank, degree))
-    return HNFiltration(tuple(steps))
+    return HNFiltration(split_steps((degree, 1) for degree in bundle.summand_degrees))
 
 
 def hn_brute_force_oracle(bundle: SplitBundle, cap: int = DEFAULT_ORACLE_CAP) -> HNFiltration:
@@ -256,21 +258,17 @@ def validate_hn(steps: Iterable[Sequence[int]] | Iterable[HNStep]) -> HNFiltrati
     """Accept user-asserted filtration data as cumulative (rank, degree) pairs.
 
     This is the entry point for bundles that are not given as direct sums
-    of line bundles: the caller asserts the filtration and this function
-    checks the defining inequalities, reporting the first violating step.
+    of line bundles: the caller asserts the filtration, this function reads
+    each pair, and :class:`HNFiltration` checks it, naming the first bad step.
     """
     normalized = []
     for entry in steps:
-        if isinstance(entry, HNStep):
-            normalized.append(entry)
-            continue
-        try:
-            rank, degree = entry
-        except (TypeError, ValueError):
-            raise ValidationError(
-                f"filtration step must be a (rank, degree) pair, got {entry!r}"
-            ) from None
-        normalized.append(HNStep(_check_int(rank, "step rank"), _check_int(degree, "step degree")))
-    if not normalized:
-        raise ValidationError("a filtration needs at least one step")
+        if not isinstance(entry, HNStep):
+            try:
+                entry = HNStep(*entry)
+            except TypeError:
+                raise ValidationError(
+                    f"filtration step must be a (rank, degree) pair, got {entry!r}"
+                ) from None
+        normalized.append(entry)
     return HNFiltration(tuple(normalized))

@@ -15,6 +15,7 @@ precondition, 4 internal invariant failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -49,9 +50,22 @@ def _load_config(path: str):
     return parse_config(text)
 
 
+def _write(text: str) -> None:
+    """Write ``text`` to stdout and flush.  A reader that stops early is no
+    error: stdout then points at ``os.devnull``, so the flush at exit
+    cannot raise ``BrokenPipeError`` again."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _cmd_report(args) -> int:
     doc = args.runner(_load_config(args.config))
-    print((render_machine if args.machine else render_human)(doc), end="")
+    _write((render_machine if args.machine else render_human)(doc))
     return worst_exit_code(doc)
 
 
@@ -63,18 +77,18 @@ def _cmd_examples(args) -> int:
             FixtureOutcome(fixture.name, ok, fixture.digest, actual)
             for fixture, _, actual, ok in results
         )
-        print(emit(outcomes, tuple[FixtureOutcome, ...]))
+        lines = [emit(outcomes, tuple[FixtureOutcome, ...])]
     else:
-        if args.name:
-            print(render_human(results[0][1]))
+        lines = [render_human(results[0][1])] if args.name else []
         width = max(len(fixture.name) for fixture, _, _, _ in results)
         for fixture, _, actual, ok in results:
             verdict = "PASS" if ok else "FAIL"
             condition = "holds" if actual.assumption_holds else "fails"
-            print(
+            lines.append(
                 f"{verdict}  {fixture.name.ljust(width)}  slope {actual.slope}  "
                 f"picard rank {actual.picard_rank}  divisibility {condition}"
             )
+    _write("\n".join(lines) + "\n")
     if not all(ok for *_, ok in results):
         print("fixture digest mismatch", file=sys.stderr)
         return EXIT_INTERNAL
@@ -84,15 +98,17 @@ def _cmd_examples(args) -> int:
 def _cmd_selftest(args) -> int:
     results = run_selftest(seed=args.seed, trials=args.trials)
     if args.machine:
-        print(emit(tuple(results), tuple[CheckResult, ...]))
+        lines = [emit(tuple(results), tuple[CheckResult, ...])]
     else:
         width = max(len(r.name) for r in results)
+        lines = []
         for r in results:
             mark = "ok  " if r.ok else "FAIL"
             line = f"{mark}  {r.name.ljust(width)}  {r.trials} trials"
             if r.detail:
                 line += f"  ({r.detail})"
-            print(line)
+            lines.append(line)
+    _write("\n".join(lines) + "\n")
     if any(not r.ok for r in results):
         print("selftest failed", file=sys.stderr)
         return EXIT_INTERNAL

@@ -26,7 +26,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .bundles import CurveInfo
+from .bundles import CurveInfo, _check_int
 from .errors import ParseError, ValidationError
 from .flags import Basis, DivisorClass
 
@@ -112,10 +112,18 @@ def _require_array(value, location: str) -> list:
 
 @dataclass(frozen=True)
 class SummandSpec:
-    """A summand degree with its multiplicity."""
+    """A summand degree with its multiplicity; unpacks as that pair."""
 
     degree: int
     multiplicity: int
+
+    def __post_init__(self):
+        _check_int(self.degree, "summand degree")
+        if _check_int(self.multiplicity, "multiplicity") < 1:
+            raise ValidationError(f"multiplicity must be >= 1, got {self.multiplicity}")
+
+    def __iter__(self):
+        return iter((self.degree, self.multiplicity))
 
 
 @dataclass(frozen=True)
@@ -130,15 +138,6 @@ class ProblemConfig:
     hn_steps: tuple[tuple[int, int], ...] | None
     flag_ranks: tuple[int, ...]
     divisors: tuple[DivisorClass, ...] = field(default=())
-
-    def summand_degrees(self) -> tuple[int, ...]:
-        """Summand degrees with multiplicities expanded."""
-        if self.summands is None:
-            raise ValidationError("bundle was given as filtration steps")
-        out: list[int] = []
-        for s in self.summands:
-            out.extend([s.degree] * s.multiplicity)
-        return tuple(out)
 
 
 def _parse_curve(data) -> CurveInfo:

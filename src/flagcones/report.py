@@ -19,7 +19,7 @@ from types import UnionType
 from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 from . import seshadri as sesh
-from .bundles import CurveInfo, HNFiltration, SplitBundle, hn_filtration, validate_hn
+from .bundles import CurveInfo, HNFiltration, split_steps, validate_hn
 from .config import ProblemConfig, _too_many_digits, load_json, parse_rational
 from .errors import (
     EXIT_OK,
@@ -162,9 +162,8 @@ class ReportDocument:
 
 def filtration_from_config(config: ProblemConfig) -> HNFiltration:
     """Filtration of the configured bundle (computed or user-asserted)."""
-    if config.summands is not None:
-        return hn_filtration(SplitBundle(config.summand_degrees(), config.curve))
-    return validate_hn(config.hn_steps)
+    steps = config.hn_steps if config.summands is None else split_steps(config.summands)
+    return validate_hn(steps)
 
 
 def model_from_config(config: ProblemConfig) -> FlagModel:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -172,7 +173,7 @@ def random_config(rng: random.Random, max_divisors: int = 3) -> ProblemConfig:
     """Random full problem config, for end-to-end round-trip checks."""
     if rng.random() < 0.5:
         bundle = random_nonsemistable_bundle(rng)
-        summands = tuple(SummandSpec(d, 1) for d in bundle.summand_degrees)
+        summands = tuple(SummandSpec(d, m) for d, m in Counter(bundle.summand_degrees).items())
         hn = hn_filtration(bundle)
         kwargs = dict(summands=summands, hn_steps=None)
     else:

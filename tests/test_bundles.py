@@ -16,6 +16,7 @@ from flagcones import (
     ValidationError,
     hn_brute_force_oracle,
     hn_filtration,
+    split_steps,
     validate_hn,
 )
 
@@ -132,14 +133,25 @@ class TestValidateHN:
             validate_hn([(1, 1), (2, 2)])
 
     def test_rejects_empty(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="a filtration needs at least one step"):
             validate_hn([])
 
     def test_rejects_garbage(self):
-        with pytest.raises(ValidationError):
-            validate_hn([(1, 2, 3)])
-        with pytest.raises(ValidationError):
+        for entry in [(1, 2, 3), (1,), 5]:
+            with pytest.raises(ValidationError, match="must be a \\(rank, degree\\) pair"):
+                validate_hn([entry])
+        with pytest.raises(ValidationError, match="step degree must be an integer, got 'x'"):
             validate_hn([(1, "x")])
+        with pytest.raises(ValidationError, match="step rank must be an integer, got True"):
+            validate_hn([(True, 1)])
+
+
+class TestSplitSteps:
+    def test_counts_repeated_degrees(self):
+        steps = split_steps([(0, 2), (2, 1), (1, 1), (0, 1)])
+        assert steps == (HNStep(1, 2), HNStep(2, 3), HNStep(5, 3))
+        huge = 10**30
+        assert split_steps([(0, 3), (2, 1), (0, huge)]) == (HNStep(1, 2), HNStep(huge + 4, 2))
 
 
 class TestProperties:

@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
 
@@ -207,6 +210,56 @@ class TestInternalFailureExit:
         assert all(line.startswith("ok    ") for line in lines[1:])
 
 
+class TestHugeMultiplicity:
+    def test_counted_not_expanded(self, config_file, capsys):
+        huge = 10**30
+        split = {
+            "bundle": {"summands": [{"degree": 1, "multiplicity": huge}, {"degree": 0, "multiplicity": 2}]},
+            "flag": {"quotient_ranks": [2]},
+            "divisors": [{"name": "L", "basis": "nef", "coords": [1, "1/2"]}],
+        }
+        steps = dict(split, bundle={"hn_steps": [[huge, huge], [huge + 2, huge]]})
+        assert main(["seshadri", "--machine", config_file(json.dumps(split), "split.json")]) == 0
+        from_split = capsys.readouterr()
+        assert from_split.err == ""
+        assert main(["seshadri", "--machine", config_file(json.dumps(steps), "steps.json")]) == 0
+        assert capsys.readouterr().out == from_split.out
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone away; ``fileno`` names a real file."""
+
+    def __init__(self, fd):
+        super().__init__()
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+class TestClosedStdout:
+    @staticmethod
+    def run_closed(argv, tmp_path):
+        """``main(argv)`` with a stdout whose reader has gone away; returns the
+        exit code and stderr, and checks that stdout now points at devnull."""
+        err = io.StringIO()
+        with open(tmp_path / "stdout", "w") as target:
+            with contextlib.redirect_stdout(_ClosedPipe(target.fileno())), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert os.path.samestat(os.fstat(target.fileno()), os.stat(os.devnull))
+        return code, err.getvalue()
+
+    @pytest.mark.parametrize("argv", [["examples", "--machine", "rank5-a/fl43"], ["selftest", "--trials", "2"]])
+    def test_success_stays_0(self, tmp_path, argv):
+        assert self.run_closed(argv, tmp_path) == (0, "")
+
+    def test_divisor_error_stays_3(self, config_file, tmp_path):
+        assert self.run_closed(["seshadri", "--machine", config_file(NOT_NEF)], tmp_path) == (3, "")
+
+
 class TestConsoleScript:
     def test_module_invocation(self, tmp_path):
         path = tmp_path / "p.json"
@@ -218,6 +271,17 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert "eps global" in proc.stdout
+
+    def test_reader_that_stops_early(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "flagcones", "examples", "--machine"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(), err) == (0, b"")
 
     def test_usage_error_exit_code(self):
         proc = subprocess.run(

@@ -2,8 +2,22 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flagcones import Basis, ParseError, ValidationError, parse_config, parse_rational
+from flagcones import (
+    Basis,
+    CurveInfo,
+    ParseError,
+    ProblemConfig,
+    SplitBundle,
+    SummandSpec,
+    ValidationError,
+    hn_filtration,
+    parse_config,
+    parse_rational,
+)
+from flagcones.report import filtration_from_config
 
 GOOD = {
     "curve": {"genus": 0, "label": "X"},
@@ -53,7 +67,7 @@ class TestParseConfig:
     def test_good_document(self):
         config = parse_config(as_text(GOOD))
         assert config.curve.genus == 0
-        assert config.summand_degrees() == (1, 2, 0, 0, 0)
+        assert filtration_from_config(config).step_pairs() == ((1, 2), (2, 3), (5, 3))
         assert config.flag_ranks == (4, 3)
         divisor = config.divisors[0]
         assert divisor.name == "L"
@@ -63,7 +77,7 @@ class TestParseConfig:
     def test_multiplicity_expansion(self):
         data = dict(GOOD)
         data["bundle"] = {"summands": [{"degree": 2, "multiplicity": 3}]}
-        assert parse_config(as_text(data)).summand_degrees() == (2, 2, 2)
+        assert filtration_from_config(parse_config(as_text(data))).step_pairs() == ((3, 6),)
 
     def test_hn_steps_variant(self):
         data = dict(GOOD)
@@ -133,6 +147,12 @@ class TestParseConfig:
         with pytest.raises(ValidationError):
             parse_config(as_text(data))
 
+    def test_multiplicity_below_one_rejected_by_hand(self):
+        with pytest.raises(ValidationError, match="multiplicity must be >= 1, got 0"):
+            SummandSpec(3, 0)
+        with pytest.raises(ValidationError, match="multiplicity must be an integer, got True"):
+            SummandSpec(3, True)
+
     def test_negative_genus(self):
         data = dict(GOOD)
         data["curve"] = {"genus": -1}
@@ -190,3 +210,19 @@ class TestCoordinateTokens:
         with pytest.raises(ParseError) as info:
             parse_config(as_text(data))
         assert (info.value.location, info.value.message) == ("divisors[1].coords[1]", message)
+
+
+# (degree, multiplicity) lists; the last pair repeats the first degree
+summand_pairs = st.lists(
+    st.tuples(st.integers(-4, 4), st.integers(1, 6)), min_size=1, max_size=8
+).flatmap(lambda pairs: st.integers(1, 6).map(lambda m: pairs + [(pairs[0][0], m)]))
+
+
+class TestGrouping:
+    @given(summand_pairs)
+    @settings(max_examples=100, deadline=None)
+    def test_counting_equals_expanding(self, pairs):
+        summands = tuple(SummandSpec(d, m) for d, m in pairs)
+        config = ProblemConfig(CurveInfo(), summands, None, (1,))
+        expanded = tuple(d for d, m in pairs for _ in range(m))
+        assert filtration_from_config(config) == hn_filtration(SplitBundle(expanded))
