@@ -15,7 +15,6 @@ from .bundles import (
     CurveInfo,
     HNFiltration,
     HNStep,
-    SemistablePiece,
     SplitBundle,
     hn_brute_force_oracle,
     hn_filtration,
@@ -54,7 +53,6 @@ from .flags import (
     classify_divisor,
     convert_basis,
     curve_generators,
-    make_flag_spec,
     nef_generators,
     pairing,
     pairing_matrix,

@@ -83,28 +83,6 @@ class SplitBundle:
 
 
 @dataclass(frozen=True)
-class SemistablePiece:
-    """One semistable graded piece of a filtration.
-
-    >>> SemistablePiece(5, 3).slope
-    Fraction(3, 5)
-    """
-
-    rank: int
-    degree: int
-
-    def __post_init__(self):
-        _check_int(self.rank, "rank")
-        _check_int(self.degree, "degree")
-        if self.rank < 1:
-            raise ValidationError(f"piece rank must be >= 1, got {self.rank}")
-
-    @property
-    def slope(self) -> Fraction:
-        return Fraction(self.degree, self.rank)
-
-
-@dataclass(frozen=True)
 class HNStep:
     """Cumulative (rank, degree) of one subbundle in the filtration."""
 
@@ -177,20 +155,12 @@ class HNFiltration:
     def is_semistable(self) -> bool:
         return self.d == 1
 
-    def graded_pieces(self) -> tuple[SemistablePiece, ...]:
-        """Successive quotients as (rank, degree) pieces."""
-        pieces = []
-        previous_rank = previous_degree = 0
-        for step in self.steps:
-            pieces.append(
-                SemistablePiece(step.rank - previous_rank, step.degree - previous_degree)
-            )
-            previous_rank, previous_degree = step.rank, step.degree
-        return tuple(pieces)
-
     def quotient_slopes(self) -> tuple[Fraction, ...]:
         """Strictly decreasing slopes of the graded pieces."""
-        return tuple(piece.slope for piece in self.graded_pieces())
+        return tuple(
+            Fraction(step.degree - previous.degree, step.rank - previous.rank)
+            for previous, step in zip((HNStep(0, 0), *self.steps), self.steps)
+        )
 
     def step_pairs(self) -> tuple[tuple[int, int], ...]:
         """Steps as plain ``(rank, degree)`` pairs."""

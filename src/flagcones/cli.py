@@ -45,7 +45,7 @@ class FixtureOutcome:
 def _load_config(path: str):
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read config {path!r}: {exc}") from None
     return parse_config(text)
 

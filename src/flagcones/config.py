@@ -93,6 +93,15 @@ def _require_int(value, location: str) -> int:
     return value
 
 
+def _require_text(value: str, location: str) -> str:
+    """``value`` if UTF-8 can encode it, which it cannot with a lone surrogate."""
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ParseError(f"lone surrogate {value[exc.start]!r} is not UTF-8", location) from None
+    return value
+
+
 def _require_object(value, location: str, allowed: set[str]) -> dict:
     if not isinstance(value, dict):
         raise ParseError(f"expected an object, got {type(value).__name__}", location)
@@ -150,7 +159,7 @@ def _parse_curve(data) -> CurveInfo:
     label = obj.get("label", "X")
     if not isinstance(label, str):
         raise ParseError(f"expected a string, got {label!r}", "curve.label")
-    return CurveInfo(genus, label)
+    return CurveInfo(genus, _require_text(label, "curve.label"))
 
 
 def _parse_bundle(data):
@@ -241,7 +250,7 @@ def _parse_divisors(data) -> tuple[DivisorClass, ...]:
             for j, v in enumerate(coords_raw):  # locate the first bad coordinate
                 parse_rational(v, f"{where}.coords[{j}]")
             raise
-        divisors.append(DivisorClass(basis, coords, name=name))
+        divisors.append(DivisorClass(basis, coords, name=_require_text(name, f"{where}.name")))
     return tuple(divisors)
 
 

@@ -169,8 +169,9 @@ def quotient_ranks(hn: HNFiltration) -> tuple[int, ...]:
     return tuple(hn.n - step.rank for step in hn.steps[:-1])
 
 
-def make_flag_spec(hn: HNFiltration, requested) -> FlagSpec:
-    """Resolve requested quotient ranks against the filtration profile."""
+def build_model(hn: HNFiltration, requested) -> FlagModel:
+    """Resolve the requested quotient ranks against the filtration profile
+    and attach the quotient degrees."""
     if hn.d == 1:
         raise SemistableBundle(
             "the bundle is semistable; flag construction needs at least two "
@@ -192,21 +193,8 @@ def make_flag_spec(hn: HNFiltration, requested) -> FlagSpec:
                 f"{list(profile)}"
             )
         indices.append(profile.index(r) + 1)
-    subspace_dims = tuple(hn.n - r for r in ranks)
-    return FlagSpec(ranks, tuple(indices), subspace_dims)
-
-
-def build_model(hn: HNFiltration, spec: FlagSpec) -> FlagModel:
-    """Attach quotient degrees to a resolved flag choice."""
-    if hn.d == 1:
-        raise SemistableBundle("the bundle is semistable")
-    profile = quotient_ranks(hn)
-    for r, k in zip(spec.quotient_ranks, spec.hn_indices):
-        if not 1 <= k <= hn.d - 1 or profile[k - 1] != r:
-            raise ValidationError(
-                f"flag spec does not match the filtration: rank {r} vs index {k}"
-            )
-    degrees = tuple(hn.degree - hn.steps[k - 1].degree for k in spec.hn_indices)
+    spec = FlagSpec(ranks, tuple(indices), tuple(hn.n - r for r in ranks))
+    degrees = tuple(hn.degree - hn.steps[k - 1].degree for k in indices)
     return FlagModel(hn, spec, degrees)
 
 

@@ -36,7 +36,6 @@ from .flags import (
     build_model,
     classify_divisor,
     curve_generators,
-    make_flag_spec,
     pairing_matrix,
     quotient_ranks,
     to_nef,
@@ -113,21 +112,6 @@ class ConesSection:
 
 
 @dataclass(frozen=True)
-class SeshadriSummary:
-    lower: Fraction
-    upper: Fraction
-    epsilon_global: Fraction = field(metadata={"json": "global"})
-    epsilon_at_section: Fraction = field(metadata={"json": "at_section"})
-    epsilon_general: Optional[Fraction] = field(metadata={"json": "general"})
-    general_rule: str
-    notes: dict[str, str]
-
-    def __post_init__(self):
-        if self.lower > self.upper:
-            raise ValidationError(f"lower bound {self.lower} exceeds upper bound {self.upper}")
-
-
-@dataclass(frozen=True)
 class ErrorInfo:
     type: str
     message: str
@@ -143,7 +127,7 @@ class DivisorEntry:
     coords: tuple[Fraction, ...]
     nef_coords: Optional[tuple[Fraction, ...]]
     classification: Optional[str]
-    seshadri: Optional[SeshadriSummary]
+    seshadri: Optional[sesh.SeshadriReport]
     error: Optional[ErrorInfo]
 
 
@@ -168,7 +152,7 @@ def filtration_from_config(config: ProblemConfig) -> HNFiltration:
 
 def model_from_config(config: ProblemConfig) -> FlagModel:
     hn = filtration_from_config(config)
-    return build_model(hn, make_flag_spec(hn, config.flag_ranks))
+    return build_model(hn, config.flag_ranks)
 
 
 def assert_duality(model: FlagModel):
@@ -224,21 +208,12 @@ def _divisor_entry(
     divisor: DivisorClass, model: FlagModel, status: sesh.DivisibilityStatus
 ) -> DivisorEntry:
     """Evaluate one divisor; the fields reached before a failure are kept."""
-    nef_coords = classification = summary = error = None
+    nef_coords = classification = report = error = None
     try:
         converted = to_nef(divisor, model)
         nef_coords = converted.coords
         classification = classify_divisor(converted, model).value
         report = sesh.full_report(converted, model, status)
-        summary = SeshadriSummary(
-            lower=report.lower,
-            upper=report.upper,
-            epsilon_global=report.epsilon_global,
-            epsilon_at_section=report.epsilon_at_section,
-            epsilon_general=report.epsilon_general,
-            general_rule=report.general_rule,
-            notes=dict(report.notes),
-        )
     except FlagconesError as exc:
         error = ErrorInfo(type(exc).__name__, str(exc))
     return DivisorEntry(
@@ -247,7 +222,7 @@ def _divisor_entry(
         coords=divisor.coords,
         nef_coords=nef_coords,
         classification=classification,
-        seshadri=summary,
+        seshadri=report,
         error=error,
     )
 
@@ -299,7 +274,8 @@ def worst_exit_code(doc: ReportDocument) -> int:
 #
 # One codec serves every machine document: it is derived from the dataclass
 # fields and their type hints, compiled once per type.  JSON keys are the
-# field names unless a field carries ``metadata={"json": key}``.  A type's
+# field names unless a field carries ``metadata={"json": key}``, and one keyed
+# ``None`` (last, with a default) is neither written nor read.  A type's
 # ``emit(value, pad)`` writes what ``json.dumps(..., indent=2)`` would, with
 # ``pad`` the newline and indent its value starts on; ``decode(data, memo)``
 # reads it back, with ``memo`` the rationals decoded from this document.
@@ -407,7 +383,7 @@ def _block(brackets: str, items: list[str], pad: str) -> str:
 def _record(cls):
     hints = get_type_hints(cls)
     keyed = [(f.metadata.get("json", f.name), f) for f in dataclasses.fields(cls)]
-    fields = [(key, f.name, *_codec(hints[f.name])) for key, f in keyed]
+    fields = [(key, f.name, *_codec(hints[f.name])) for key, f in keyed if key is not None]
     keys = {key for key, *_ in fields}
     writers = [(encode_basestring_ascii(key) + ": ", name, enc) for key, name, enc, _ in fields]
 

@@ -32,7 +32,6 @@ from .flags import (
     build_model,
     convert_basis,
     curve_generators,
-    make_flag_spec,
     quotient_ranks,
 )
 from .gallery import builtin_examples, check_fixture
@@ -51,22 +50,19 @@ def random_split_bundle(
     return SplitBundle(degrees)
 
 
-def random_nonsemistable_bundle(
-    rng: random.Random, max_rank: int = 10, degree_bound: int = 6
-) -> SplitBundle:
+def random_nonsemistable_bundle(rng: random.Random, max_rank: int = 10) -> SplitBundle:
     while True:
         rank = rng.randint(2, max_rank)
-        degrees = tuple(rng.randint(-degree_bound, degree_bound) for _ in range(rank))
+        degrees = tuple(rng.randint(-6, 6) for _ in range(rank))
         if len(set(degrees)) > 1:
             return SplitBundle(degrees)
 
 
-def random_filtration(
-    rng: random.Random, min_d: int = 2, max_d: int = 7, max_rank: int = 14
-) -> HNFiltration:
-    """Random valid filtration entered directly as cumulative steps."""
-    d = rng.randint(min_d, min(max_d, max_rank))
-    ranks = sorted(rng.sample(range(1, max_rank + 1), d))
+def random_filtration(rng: random.Random) -> HNFiltration:
+    """Random valid filtration of rank at most 14 with 2 to 7 steps, entered
+    directly as cumulative steps."""
+    d = rng.randint(2, 7)
+    ranks = sorted(rng.sample(range(1, 15), d))
     steps = []
     degree = 0
     previous_slope = None
@@ -98,22 +94,20 @@ def random_model(rng: random.Random, max_gamma: int = 5) -> FlagModel:
             break
     gamma = rng.randint(1, min(max_gamma, len(profile)))
     chosen = tuple(sorted(rng.sample(profile, gamma), reverse=True))
-    return build_model(hn, make_flag_spec(hn, chosen))
+    return build_model(hn, chosen)
 
 
-def random_nef_divisor(
-    rng: random.Random, gamma: int, bound: int = 12
-) -> DivisorClass:
+def random_nef_divisor(rng: random.Random, gamma: int) -> DivisorClass:
     coords = tuple(
-        Fraction(rng.randint(0, bound), rng.randint(1, 4)) for _ in range(gamma + 1)
+        Fraction(rng.randint(0, 12), rng.randint(1, 4)) for _ in range(gamma + 1)
     )
     return DivisorClass(Basis.NEF, coords)
 
 
-def random_divisor(rng: random.Random, gamma: int, bound: int = 12) -> DivisorClass:
+def random_divisor(rng: random.Random, gamma: int) -> DivisorClass:
     basis = Basis.NEF if rng.random() < 0.5 else Basis.PLUECKER
     coords = tuple(
-        Fraction(rng.randint(-bound, bound), rng.randint(1, 4))
+        Fraction(rng.randint(-12, 12), rng.randint(1, 4))
         for _ in range(gamma + 1)
     )
     return DivisorClass(basis, coords)
@@ -143,7 +137,7 @@ def random_divisibility_model(
             continue
         gamma = rng.randint(1, min(max_gamma, len(good)))
         chosen = tuple(sorted(rng.sample(good, gamma), reverse=True))
-        model = build_model(hn, make_flag_spec(hn, chosen))
+        model = build_model(hn, chosen)
         status = sesh.check_divisibility(model)
         if status.holds:
             return model, status
@@ -163,13 +157,13 @@ def random_divisibility_model(
         profile = quotient_ranks(hn)
         gamma = rng.randint(1, min(max_gamma, len(profile)))
         chosen = tuple(sorted(rng.sample(profile, gamma), reverse=True))
-        model = build_model(hn, make_flag_spec(hn, chosen))
+        model = build_model(hn, chosen)
         status = sesh.check_divisibility(model)
         if status.holds:
             return model, status
 
 
-def random_config(rng: random.Random, max_divisors: int = 3) -> ProblemConfig:
+def random_config(rng: random.Random) -> ProblemConfig:
     """Random full problem config, for end-to-end round-trip checks."""
     if rng.random() < 0.5:
         bundle = random_nonsemistable_bundle(rng)
@@ -183,7 +177,7 @@ def random_config(rng: random.Random, max_divisors: int = 3) -> ProblemConfig:
     gamma = rng.randint(1, min(4, len(profile)))
     flag = tuple(sorted(rng.sample(profile, gamma), reverse=True))
     divisors = []
-    for j in range(rng.randint(0, max_divisors)):
+    for j in range(rng.randint(0, 3)):
         d = random_divisor(rng, gamma)
         divisors.append(DivisorClass(d.basis, d.coords, name=f"D{j + 1}"))
     return ProblemConfig(

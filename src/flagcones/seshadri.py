@@ -14,7 +14,7 @@ unknown.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -111,9 +111,9 @@ def check_divisibility(model: FlagModel) -> DivisibilityStatus:
     degree is a multiple of ``r_i``.
 
     >>> from .bundles import SplitBundle, hn_filtration
-    >>> from .flags import build_model, make_flag_spec
+    >>> from .flags import build_model
     >>> hn = hn_filtration(SplitBundle((1, 2, 0, 0, 0)))
-    >>> status = check_divisibility(build_model(hn, make_flag_spec(hn, (4, 3))))
+    >>> status = check_divisibility(build_model(hn, (4, 3)))
     >>> status.witnesses[0]
     Witness(index=1, flag_rank=4, hn_index=None, subbundle_degree=None, divisible=None)
     >>> status.holds, [failure.reason for failure in status.failures]
@@ -212,27 +212,31 @@ def degree_gaps(model: FlagModel, status: DivisibilityStatus) -> tuple[int, ...]
 
 @dataclass(frozen=True)
 class SeshadriReport:
-    """All Seshadri data for one nef divisor class.
+    """All Seshadri data for one nef divisor class; it is the ``seshadri``
+    record of a machine document, which does not write ``divisor``.
 
     ``epsilon_general`` is ``None`` exactly when ``general_rule`` is
     ``"open"``; the bounds then say everything that is known.
     """
 
-    divisor: DivisorClass
     lower: Fraction
     upper: Fraction
-    epsilon_global: Fraction
-    epsilon_at_section: Fraction
-    epsilon_general: Optional[Fraction]
+    epsilon_global: Fraction = field(metadata={"json": "global"})
+    epsilon_at_section: Fraction = field(metadata={"json": "at_section"})
+    epsilon_general: Optional[Fraction] = field(metadata={"json": "general"})
     general_rule: str
-    assumption: DivisibilityStatus
     notes: dict[str, str]
+    divisor: Optional[DivisorClass] = field(default=None, compare=False, metadata={"json": None})
+
+    def __post_init__(self):
+        if self.lower > self.upper:
+            raise ValidationError(f"lower bound {self.lower} exceeds upper bound {self.upper}")
 
 
 def full_report(
     divisor: DivisorClass, model: FlagModel, status: Optional[DivisibilityStatus] = None
 ) -> SeshadriReport:
-    """Assemble bounds, exact values, and the condition check for one class.
+    """Assemble bounds and exact values for one class.
 
     ``status`` is ``check_divisibility(model)``, scanned here when not
     given; a caller reporting many classes of one model scans it once.
@@ -250,13 +254,12 @@ def full_report(
         "general": general_note,
     }
     return SeshadriReport(
-        divisor=converted,
         lower=lower,
         upper=upper,
         epsilon_global=lower,
         epsilon_at_section=lower,
         epsilon_general=general,
         general_rule=rule,
-        assumption=status,
         notes=notes,
+        divisor=converted,
     )

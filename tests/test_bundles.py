@@ -11,7 +11,6 @@ from flagcones import (
     HNStep,
     NonDecreasingSlope,
     NonIncreasingRank,
-    SemistablePiece,
     SplitBundle,
     ValidationError,
     hn_brute_force_oracle,
@@ -88,12 +87,14 @@ class TestOracle:
 
 class TestSlope:
     def test_values(self):
-        assert SemistablePiece(5, 3).slope == Fraction(3, 5)
-        assert SemistablePiece(4, 0).slope == 0
-        assert SemistablePiece(7, 1).slope == Fraction(1, 7)
+        # graded pieces (rank, degree): (5, 3), (7, 1), (4, 0)
+        slopes = validate_hn([(5, 3), (12, 4), (16, 4)]).quotient_slopes()
+        assert slopes[0] == Fraction(3, 5)
+        assert slopes[2] == 0
+        assert slopes[1] == Fraction(1, 7)
 
     def test_exactness(self):
-        assert SemistablePiece(3, 1).slope * 3 == 1
+        assert validate_hn([(3, 1)]).quotient_slopes()[0] * 3 == 1
 
 
 class TestSemistability:
@@ -190,7 +191,3 @@ class TestInputGuards:
     def test_negative_genus(self):
         with pytest.raises(ValidationError):
             CurveInfo(genus=-1)
-
-    def test_piece_rank(self):
-        with pytest.raises(ValidationError):
-            SemistablePiece(0, 1)

@@ -136,6 +136,13 @@ class TestExitCodes:
     def test_missing_file(self, capsys):
         assert main(["seshadri", "/nonexistent/path.json"]) == 2
 
+    def test_config_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe")
+        assert main(["hn", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error [InputError]: ") and err.count("\n") == 1
+
     def test_parse_error(self, config_file, capsys):
         assert main(["seshadri", config_file("{broken")]) == 2
         assert "error" in capsys.readouterr().err
@@ -282,6 +289,29 @@ class TestConsoleScript:
         err = proc.stderr.read()
         proc.stderr.close()
         assert (proc.wait(), err) == (0, b"")
+
+    @pytest.mark.parametrize("machine", [[], ["--machine"]], ids=["human", "machine"])
+    @pytest.mark.parametrize(
+        "old, new, location",
+        [
+            ('"label": "X"', '"label": "X\\ud800"', "curve.label"),
+            ('"name": "L"', '"name": "L\\udfff"', "divisors[0].name"),
+        ],
+        ids=["label", "name"],
+    )
+    def test_lone_surrogate_is_parse_error(self, tmp_path, machine, old, new, location):
+        # A child's stdout is strict UTF-8, so both renderings must agree.
+        path = tmp_path / "p.json"
+        path.write_text(GOOD.replace(old, new), encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "flagcones", "seshadri", *machine, str(path)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONIOENCODING": "utf-8"},
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith(f"error [ParseError]: {location}: lone surrogate")
+        assert proc.stderr.count("\n") == 1
 
     def test_usage_error_exit_code(self):
         proc = subprocess.run(

@@ -23,7 +23,6 @@ from flagcones import (
     convert_basis,
     curve_generators,
     hn_filtration,
-    make_flag_spec,
     nef_generators,
     pairing,
     pairing_matrix,
@@ -35,10 +34,6 @@ from flagcones.selftest import random_divisor, random_model
 HN5_A = hn_filtration(SplitBundle((1, 2, 0, 0, 0)))       # steps (1,2)(2,3)(5,3)
 HN5_C = validate_hn([(1, 4), (4, 4), (5, 3)])             # asserted directly
 HN7_B = hn_filtration(SplitBundle((8, 2, 0, 0, 0, -4, -5)))
-
-
-def model_for(hn, flag):
-    return build_model(hn, make_flag_spec(hn, flag))
 
 
 class TestQuotientRanks:
@@ -57,13 +52,15 @@ class TestQuotientRanks:
 
 
 class TestMakeFlagSpec:
+    """How ``build_model`` resolves the requested quotient ranks."""
+
     def test_resolves_indices(self):
-        spec = make_flag_spec(HN5_C, [4, 1])
+        spec = build_model(HN5_C, [4, 1]).spec
         assert spec.hn_indices == (1, 2)
         assert spec.gamma == 2
 
     def test_subspace_dims(self):
-        spec = make_flag_spec(HN5_A, [4, 3])
+        spec = build_model(HN5_A, [4, 3]).spec
         assert spec.hn_indices == (1, 2)
         assert spec.subspace_dims == (1, 2)
         assert all(
@@ -73,65 +70,59 @@ class TestMakeFlagSpec:
 
     def test_rank_not_in_profile(self):
         with pytest.raises(RankNotInHNProfile):
-            make_flag_spec(HN5_A, [2])
+            build_model(HN5_A, [2])
 
     def test_semistable_rejected(self):
         with pytest.raises(SemistableBundle):
-            make_flag_spec(validate_hn([(2, 0)]), [1])
+            build_model(validate_hn([(2, 0)]), [1])
 
     def test_not_strictly_decreasing(self):
         with pytest.raises(NotStrictlyDecreasing):
-            make_flag_spec(HN5_A, [3, 4])
+            build_model(HN5_A, [3, 4])
         with pytest.raises(NotStrictlyDecreasing):
-            make_flag_spec(HN5_A, [4, 4])
+            build_model(HN5_A, [4, 4])
 
     def test_empty_request(self):
         with pytest.raises(ValidationError):
-            make_flag_spec(HN5_A, [])
+            build_model(HN5_A, [])
 
 
 class TestBuildModel:
     def test_quotient_degrees(self):
-        model = model_for(HN5_C, [4, 1])
+        model = build_model(HN5_C, [4, 1])
         assert model.quotient_degrees == (-1, -1)
 
     def test_zero_degrees(self):
         hn = validate_hn([(1, 1), (2, 0)])
-        model = model_for(hn, [1])
+        model = build_model(hn, [1])
         assert model.quotient_degrees == (-1,)
 
     def test_all_zero_theta(self):
         hn = validate_hn([(1, 0), (2, -1)])
-        assert model_for(hn, [1]).quotient_degrees == (-1,)
+        assert build_model(hn, [1]).quotient_degrees == (-1,)
 
     def test_rank_seven_full_flag(self):
-        model = model_for(HN7_B, [6, 5, 2, 1])
+        model = build_model(HN7_B, [6, 5, 2, 1])
         assert model.quotient_degrees == (-7, -9, -9, -5)
 
     def test_picard_rank(self):
-        assert model_for(HN5_A, [4, 3]).picard_rank == 3
-        assert model_for(HN7_B, [6, 5, 2, 1]).picard_rank == 5
+        assert build_model(HN5_A, [4, 3]).picard_rank == 3
+        assert build_model(HN7_B, [6, 5, 2, 1]).picard_rank == 5
 
     def test_dimensions(self):
-        model = model_for(HN5_A, [4, 3])
+        model = build_model(HN5_A, [4, 3])
         # flags of subspace dims (1, 2) in a 5-space: 1*1 + 2*3 = 7
         assert model.fiber_dimension == 7
         assert model.total_dimension == 8
 
     def test_grassmannian_dimension(self):
-        model = model_for(HN5_A, [3])
+        model = build_model(HN5_A, [3])
         assert model.fiber_dimension == 2 * 3
-
-    def test_mismatched_spec(self):
-        spec = make_flag_spec(HN5_A, [4, 3])
-        other = hn_filtration(SplitBundle((5, 0, 0)))
-        with pytest.raises(ValidationError):
-            build_model(other, spec)
 
 
 class TestGenerators:
     def test_nef_generators_are_units(self):
-        model = model_for(HN5_A, [4, 3])
+        model = build_model(HN5_A, [4, 3])
         gens = nef_generators(model)
         assert len(gens) == 3
         assert gens[0].coords == (1, 0, 0)
@@ -139,16 +130,16 @@ class TestGenerators:
         assert gens[0].name == "w1" and gens[2].name == "f"
 
     def test_twist_label_shows_quotient_degree(self):
-        model = model_for(HN5_C, [4, 1])
+        model = build_model(HN5_C, [4, 1])
         gens = nef_generators(model)
         assert gens[0].label == "w1 = H1 + 1*f"
 
     def test_zero_twist_label(self):
-        model = model_for(HN5_A, [4, 3])
+        model = build_model(HN5_A, [4, 3])
         assert nef_generators(model)[1].label == "w2 = H2"
 
     def test_curve_generators(self):
-        model = model_for(HN5_A, [4, 3])
+        model = build_model(HN5_A, [4, 3])
         gens = curve_generators(model)
         assert len(gens) == model.gamma + 1
         assert gens[1].coords == (0, 1, 0)
@@ -158,7 +149,7 @@ class TestGenerators:
 
 class TestPairing:
     def test_duality_on_generators(self):
-        model = model_for(HN5_A, [4, 3])
+        model = build_model(HN5_A, [4, 3])
         lines = curve_generators(model)
         divisors = nef_generators(model)
         assert pairing(lines[0], divisors[0]) == 1
@@ -181,7 +172,7 @@ class TestPairing:
 
     def test_matrix_is_identity(self):
         for flag in ([4, 3], [4], [3]):
-            model = model_for(HN5_A, flag)
+            model = build_model(HN5_A, flag)
             matrix, _ = pairing_matrix(model)
             size = model.gamma + 1
             assert matrix == tuple(
@@ -190,7 +181,7 @@ class TestPairing:
             )
 
     def test_matrix_rank_seven(self):
-        model = model_for(HN7_B, [6, 5, 2, 1])
+        model = build_model(HN7_B, [6, 5, 2, 1])
         matrix, _ = pairing_matrix(model)
         assert len(matrix) == 5
         assert all(matrix[i][j] == (1 if i == j else 0) for i in range(5) for j in range(5))
@@ -198,32 +189,32 @@ class TestPairing:
 
 class TestConvertBasis:
     def test_pluecker_to_nef(self):
-        model = model_for(HN5_C, [4, 1])
+        model = build_model(HN5_C, [4, 1])
         converted = convert_basis(DivisorClass(Basis.PLUECKER, (1, 0, 0)), model)
         assert converted.basis is Basis.NEF
         assert converted.coords == (1, 0, -1)
 
     def test_fiber_class_is_shared(self):
-        model = model_for(HN7_B, [6, 5, 2, 1])
+        model = build_model(HN7_B, [6, 5, 2, 1])
         fiber = DivisorClass(Basis.NEF, (0, 0, 0, 0, 1))
         assert convert_basis(fiber, model).coords == fiber.coords
 
     def test_identity_when_quotient_degree_vanishes(self):
         hn = validate_hn([(1, 2), (3, 2)])
-        model = model_for(hn, [2])
+        model = build_model(hn, [2])
         assert model.quotient_degrees == (0,)
         divisor = DivisorClass(Basis.NEF, (Fraction(5, 2), 7))
         assert convert_basis(divisor, model).coords == divisor.coords
 
     def test_nonzero_twist(self):
         hn = validate_hn([(1, 0), (3, -2)])
-        model = model_for(hn, [2])
+        model = build_model(hn, [2])
         assert model.quotient_degrees == (-2,)
         divisor = DivisorClass(Basis.NEF, (Fraction(5, 2), 7))
         assert convert_basis(divisor, model).coords == (Fraction(5, 2), 12)
 
     def test_wrong_length(self):
-        model = model_for(HN5_A, [4, 3])
+        model = build_model(HN5_A, [4, 3])
         with pytest.raises(ValidationError):
             convert_basis(DivisorClass(Basis.NEF, (1, 0)), model)
 
@@ -238,7 +229,7 @@ class TestConvertBasis:
 
 class TestClassification:
     def setup_method(self):
-        self.model = model_for(HN5_A, [4, 3])
+        self.model = build_model(HN5_A, [4, 3])
 
     def test_ample_interior(self):
         assert (
@@ -259,7 +250,7 @@ class TestClassification:
         )
 
     def test_pluecker_input_converted(self):
-        model = model_for(HN5_C, [4, 1])
+        model = build_model(HN5_C, [4, 1])
         # H1 = w1 - f here, which leaves the nef cone
         assert (
             classify_divisor(DivisorClass(Basis.PLUECKER, (1, 0, 0)), model)

@@ -6,8 +6,12 @@ JSON tree, one time in five followed by an edit of the text.  Every run
 must end in exit 0, 2, 3 or 4 with no exception escaping ``main``.  A
 run that prints no document prints exactly one ``error [...]`` line on
 stderr; a run that prints one reports per-divisor errors inside it and
-writes nothing to stderr.  Integers in edits reach +-10**40, so a huge
-rank, degree or summand multiplicity is part of the contract too.
+writes nothing to stderr.  Integers in edits reach +-10**40, and a
+``leaf`` edit puts such an integer, or a string that may hold a lone
+surrogate, where the document already has an integer or a string, so a
+huge rank, degree or summand multiplicity and an unwritable label or
+name are part of the contract too.  Stdout is strict UTF-8, as a
+process's own stdout is.
 """
 
 import contextlib
@@ -64,6 +68,12 @@ VALUES = st.one_of(
     ),
 )
 
+# one value of the same JSON type for a leaf edit; UTF-8 cannot encode a lone surrogate
+LEAVES = {
+    int: st.integers(-(10**40), 10**40),
+    str: st.lists(st.characters() | st.integers(0xD800, 0xDFFF).map(chr), max_size=6).map("".join),
+}
+
 TEXT_EDITS = st.sampled_from(["", "{", "}", "[", "]", ",", ":", '"', "0", "-", "/"])
 
 
@@ -79,12 +89,16 @@ def _slots(node):
 def mutated_configs(draw) -> str:
     doc = draw(BASES)
     for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["replace", "delete", "add", "leaf"]))
         slots = list(_slots(doc))
+        if edit == "leaf":
+            slots = [(parent, key) for parent, key in slots if type(parent[key]) in LEAVES]
         if not slots:
-            break
+            continue
         parent, key = draw(st.sampled_from(slots))
-        edit = draw(st.sampled_from(["replace", "delete", "add"]))
-        if edit == "replace":
+        if edit == "leaf":
+            parent[key] = draw(LEAVES[type(parent[key])])
+        elif edit == "replace":
             parent[key] = draw(VALUES)
         elif edit == "delete":
             del parent[key]
@@ -110,10 +124,11 @@ def test_mutated_config_keeps_exit_contract(tmp_path_factory, text, command, mac
     path = tmp_path_factory.getbasetemp() / "mutated.json"
     path.write_text(text, encoding="utf-8")
     argv = [command, "--machine", str(path)] if machine else [command, str(path)]
-    out, err = io.StringIO(), io.StringIO()
+    out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    out, err = out.getvalue(), err.getvalue()
+    out.flush()
+    out, err = out.buffer.getvalue().decode("utf-8"), err.getvalue()
     assert code in (0, 2, 3, 4)
     if out:
         assert err == ""

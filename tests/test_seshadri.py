@@ -21,7 +21,6 @@ from flagcones import (
     degree_gaps,
     full_report,
     hn_filtration,
-    make_flag_spec,
     seshadri_bounds,
     seshadri_ratio,
     validate_hn,
@@ -31,7 +30,7 @@ from flagcones.selftest import random_divisibility_model, random_model, random_n
 
 def model_from(degrees, flag):
     hn = hn_filtration(SplitBundle(tuple(degrees)))
-    return build_model(hn, make_flag_spec(hn, flag))
+    return build_model(hn, flag)
 
 
 MODEL_A = model_from((1, 2, 0, 0, 0), (4, 3))          # condition fails
@@ -199,7 +198,7 @@ class TestDegreeGaps:
     def test_zero_degree_subbundle(self):
         # a degree-0 matched step is legal
         hn = validate_hn([(1, 1), (2, 0), (3, -2)])
-        model = build_model(hn, make_flag_spec(hn, [2]))
+        model = build_model(hn, [2])
         status = check_divisibility(model)
         assert status.holds and [w.subbundle_degree for w in status.witnesses] == [0]
         assert degree_gaps(model, status) == (3,)
@@ -220,7 +219,7 @@ class TestFullReport:
         assert report.epsilon_at_section == 1
         assert report.epsilon_general == 3
         assert report.general_rule == "divisibility_condition"
-        assert report.assumption.holds
+        assert check_divisibility(MODEL_C).holds
 
     def test_condition_fails(self):
         report = full_report(DivisorClass(Basis.NEF, (3, 4, 1)), MODEL_A)
