@@ -59,7 +59,6 @@ from .flags import (
     quotient_ranks,
     to_nef,
 )
-from .gallery import Digest, Fixture, builtin_examples, check_fixture, digest_of
 from .report import (
     ReportDocument,
     parse_machine,
@@ -81,3 +80,15 @@ from .seshadri import (
 )
 
 __version__ = "0.1.0"
+
+_GALLERY_NAMES = ("Digest", "Fixture", "builtin_examples", "check_fixture", "digest_of")
+
+
+def __getattr__(name):
+    """The gallery names, imported on first use (PEP 562): a report run, and
+    so every CLI call but ``examples``, needs no fixtures."""
+    if name in _GALLERY_NAMES:
+        from . import gallery
+
+        return getattr(gallery, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .config import parse_config
@@ -27,19 +26,7 @@ from .errors import (
     FlagconesError,
     InputError,
 )
-from .gallery import Digest, builtin_examples, check_fixture, find_fixture
 from .report import emit, render_human, render_machine, run, run_cones, run_hn, worst_exit_code
-from .selftest import CheckResult, run_selftest
-
-
-@dataclass(frozen=True)
-class FixtureOutcome:
-    """One entry of ``examples --machine``."""
-
-    name: str
-    passed: bool = field(metadata={"json": "pass"})
-    expected: Digest
-    actual: Digest
 
 
 def _load_config(path: str):
@@ -70,6 +57,8 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_examples(args) -> int:
+    from .gallery import FixtureOutcome, builtin_examples, check_fixture, find_fixture
+
     fixtures = [find_fixture(args.name)] if args.name else builtin_examples()
     results = [(fixture, *check_fixture(fixture)) for fixture in fixtures]
     if args.machine:
@@ -96,6 +85,8 @@ def _cmd_examples(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from .selftest import CheckResult, run_selftest
+
     results = run_selftest(seed=args.seed, trials=args.trials)
     if args.machine:
         lines = [emit(tuple(results), tuple[CheckResult, ...])]

@@ -30,7 +30,7 @@ from .bundles import CurveInfo, _check_int
 from .errors import ParseError, ValidationError
 from .flags import Basis, DivisorClass
 
-_RATIONAL = re.compile(r"[+-]?\d+(/\d+)?\Z")
+_RATIONAL = re.compile(r"([+-]?\d+)(?:/(\d+))?\Z")
 
 
 def _too_many_digits() -> str:
@@ -64,6 +64,17 @@ def load_json(text: str):
 
 def parse_rational(value, location: str | None = "value") -> Fraction:
     """Exact rational from an int or a ``"p/q"`` string."""
+    if isinstance(value, str):
+        match = _RATIONAL.match(value.strip())
+        if match is None:
+            raise ParseError(f"not a rational: {value!r}", location)
+        try:
+            numerator, denominator = int(match[1]), int(match[2] or 1)
+        except ValueError:
+            raise ParseError(_too_many_digits(), location) from None
+        if denominator == 0:
+            raise ParseError("zero denominator", location)
+        return Fraction(numerator, denominator)
     if isinstance(value, bool):
         raise ParseError("expected a rational, got a boolean", location)
     if isinstance(value, int):
@@ -72,19 +83,22 @@ def parse_rational(value, location: str | None = "value") -> Fraction:
         raise ParseError(
             "floating point numbers are not accepted; write \"p/q\"", location
         )
-    if isinstance(value, str):
-        text = value.strip()
-        if not _RATIONAL.match(text):
-            raise ParseError(f"not a rational: {value!r}", location)
-        numerator, _, denominator = text.partition("/")
-        try:
-            numerator, denominator = int(numerator), int(denominator or 1)
-        except ValueError:
-            raise ParseError(_too_many_digits(), location) from None
-        if denominator == 0:
-            raise ParseError("zero denominator", location)
-        return Fraction(numerator, denominator)
     raise ParseError(f"not a rational: {value!r}", location)
+
+
+def _decode_once(decode):
+    """``decode`` as ``decode_once(token, memo)``, which keeps int and str tokens
+    in the dict ``memo`` so that each distinct one is decoded once per document;
+    as dict keys ``1.0`` and ``True`` equal ``1``, so no other token is looked up."""
+
+    def decode_once(token, memo: dict):
+        if type(token) is not int and type(token) is not str:
+            return decode(token)
+        if (value := memo.get(token)) is None:
+            value = memo[token] = decode(token)
+        return value
+
+    return decode_once
 
 
 def _require_int(value, location: str) -> int:
@@ -228,6 +242,7 @@ def _parse_divisors(data) -> tuple[DivisorClass, ...]:
         return ()
     entries = _require_array(data, "divisors")
     divisors = []
+    rational, memo = _decode_once(parse_rational), {}
     for pos, entry in enumerate(entries):
         where = f"divisors[{pos}]"
         item = _require_object(entry, where, {"name", "basis", "coords"})
@@ -245,7 +260,7 @@ def _parse_divisors(data) -> tuple[DivisorClass, ...]:
         if not coords_raw:
             raise ValidationError(f"{where}.coords must not be empty")
         try:
-            coords = tuple([parse_rational(v, None) for v in coords_raw])
+            coords = tuple([rational(v, memo) for v in coords_raw])
         except ParseError:
             for j, v in enumerate(coords_raw):  # locate the first bad coordinate
                 parse_rational(v, f"{where}.coords[{j}]")

@@ -59,17 +59,19 @@ class CurvePosition(str, enum.Enum):
     OUTSIDE = "outside"
 
 
+def _exact(value) -> Fraction:
+    if isinstance(value, float):
+        raise ValidationError(
+            f"coordinates must be exact rationals, got float {value!r}"
+        )
+    return Fraction(value)
+
+
 def _as_coords(values) -> tuple[Fraction, ...]:
-    coords = []
-    for value in values:
-        if isinstance(value, float):
-            raise ValidationError(
-                f"coordinates must be exact rationals, got float {value!r}"
-            )
-        coords.append(value if type(value) is Fraction else Fraction(value))
+    coords = tuple([value if type(value) is Fraction else _exact(value) for value in values])
     if not coords:
         raise ValidationError("a class needs at least one coordinate")
-    return tuple(coords)
+    return coords
 
 
 @dataclass(frozen=True)
@@ -296,11 +298,9 @@ def pairing(curve: CurveClass, divisor: DivisorClass) -> Fraction:
 def _twist(coords, degrees) -> Fraction:
     """``sum(c_i * t_i)`` over rationals ``c`` and integers ``t``: one integer
     sum over the common denominator, then one ``Fraction``."""
-    common = math.lcm(*(c.denominator for c in coords))
-    return Fraction(
-        sum(c.numerator * (common // c.denominator) * t for c, t in zip(coords, degrees)),
-        common,
-    )
+    ratios = [c.as_integer_ratio() for c in coords]
+    common = math.lcm(*[d for _, d in ratios])
+    return Fraction(sum(n * (common // d) * t for (n, d), t in zip(ratios, degrees)), common)
 
 
 def convert_basis(divisor: DivisorClass, model: FlagModel) -> DivisorClass:

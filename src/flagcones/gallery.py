@@ -10,7 +10,7 @@ all-ones ample class so that reports show Seshadri data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bundles import CurveInfo
@@ -35,6 +35,16 @@ class Fixture:
     name: str
     config: ProblemConfig
     digest: Digest
+
+
+@dataclass(frozen=True)
+class FixtureOutcome:
+    """One entry of ``examples --machine``."""
+
+    name: str
+    passed: bool = field(metadata={"json": "pass"})
+    expected: Digest
+    actual: Digest
 
 
 def digest_of(doc: ReportDocument) -> Digest:

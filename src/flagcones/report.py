@@ -20,7 +20,7 @@ from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 from . import seshadri as sesh
 from .bundles import CurveInfo, HNFiltration, split_steps, validate_hn
-from .config import ProblemConfig, _too_many_digits, load_json, parse_rational
+from .config import ProblemConfig, _decode_once, _too_many_digits, load_json, parse_rational
 from .errors import (
     EXIT_OK,
     FlagconesError,
@@ -276,9 +276,10 @@ def worst_exit_code(doc: ReportDocument) -> int:
 # fields and their type hints, compiled once per type.  JSON keys are the
 # field names unless a field carries ``metadata={"json": key}``, and one keyed
 # ``None`` (last, with a default) is neither written nor read.  A type's
-# ``emit(value, pad)`` writes what ``json.dumps(..., indent=2)`` would, with
-# ``pad`` the newline and indent its value starts on; ``decode(data, memo)``
-# reads it back, with ``memo`` the rationals decoded from this document.
+# ``emit(value, pad, texts)`` writes what ``json.dumps(..., indent=2)`` would,
+# with ``pad`` the newline and indent its value starts on and ``texts`` the
+# rationals written in this document; ``decode(data, memo)`` reads it back,
+# with ``memo`` the rationals decoded from this document.
 
 
 def _at(exc: ParseError, step) -> ParseError:
@@ -294,26 +295,32 @@ def _checked(kind: type, value):
     return value
 
 
-def _fraction_text(value) -> str:
-    """A rational as its integer or as ``"p/q"``."""
-    p, q = value.numerator, value.denominator
-    return int.__repr__(p) if q == 1 else f'"{p}/{q}"'
+def _emit_fraction(value, pad, texts: dict) -> str:
+    """A rational as its integer or as ``"p/q"``, written once per object and
+    kept in ``texts`` by ``id`` (``Fraction.__hash__`` costs more than the
+    text).  Every value keyed there is reachable from the document being
+    written, so it stays alive for the whole call and no other object can take
+    its ``id``."""
+    key = id(value)
+    if (text := texts.get(key)) is None:
+        p, q = value.as_integer_ratio()
+        text = texts[key] = int.__repr__(p) if q == 1 else f'"{p}/{q}"'
+    return text
 
 
-# the JSON text of one value of each scalar type
+# the JSON text of one value of each other scalar type
 _WRITERS = {
-    Fraction: _fraction_text,
     int: int.__repr__,
     str: encode_basestring_ascii,
     bool: {True: "true", False: "false"}.__getitem__,
 }
 
-# the shape of the strings _fraction_text writes; lowest terms is checked apart
+# the shape of the strings _emit_fraction writes; lowest terms is checked apart
 _CANONICAL_RATIONAL = re.compile(r"(-?[1-9]\d*)/([1-9]\d*)\Z")
 
 
 def _decode_fraction(token) -> Fraction:
-    """Inverse of :func:`_fraction_text`: other spellings of a rational
+    """Inverse of :func:`_emit_fraction`: other spellings of a rational
     (``"4/2"``, ``" 2/14 "``, ``"+3/5"``, ``"3"``) are rejected."""
     if type(token) is int:
         return Fraction(token)
@@ -327,16 +334,6 @@ def _decode_fraction(token) -> Fraction:
             return Fraction(numerator, denominator)
     parse_rational(token, None)  # names the fault of text that is no rational
     raise ParseError(f'not "p/q" in lowest terms with q > 1: {token!r}')
-
-
-def _decode_fraction_once(token, memo: dict) -> Fraction:
-    """:func:`_decode_fraction` once per int or str token kept in ``memo``; as
-    dict keys ``1.0`` and ``True`` equal ``1``, so no other token is looked up."""
-    if type(token) is not int and type(token) is not str:
-        return _decode_fraction(token)
-    if (value := memo.get(token)) is None:
-        value = memo[token] = _decode_fraction(token)
-    return value
 
 
 def _decode_items(value, decoders, size: Optional[int], memo: dict) -> tuple:
@@ -364,7 +361,7 @@ def _decode_notes(value) -> dict[str, str]:
     return value
 
 
-def _emit_notes(value: dict[str, str], pad: str) -> str:
+def _emit_notes(value: dict[str, str], pad: str, texts: dict) -> str:
     text = encode_basestring_ascii
     return _block("{}", [f"{text(key)}: {text(note)}" for key, note in value.items()], pad)
 
@@ -387,9 +384,9 @@ def _record(cls):
     keys = {key for key, *_ in fields}
     writers = [(encode_basestring_ascii(key) + ": ", name, enc) for key, name, enc, _ in fields]
 
-    def emit(value, pad):
+    def emit(value, pad, texts):
         inner = pad + "  "
-        items = [key + write(getattr(value, name), inner) for key, name, write in writers]
+        items = [key + write(getattr(value, name), inner, texts) for key, name, write in writers]
         return _block("{}", items, pad)
 
     def decode(value, memo):
@@ -419,18 +416,18 @@ def _codec(tp):
     Supported: ``Fraction``, ``int``, ``str``, ``bool``, dataclasses,
     ``Optional[X]``, ``tuple[X, ...]``, ``dict[str, str]`` and fixed tuples.
     """
+    if tp is Fraction:
+        return _emit_fraction, _decode_once(_decode_fraction)
     if tp in _WRITERS:
         write = _WRITERS[tp]
-        if tp is Fraction:
-            return (lambda value, pad: write(value)), _decode_fraction_once
-        return (lambda value, pad: write(value)), lambda value, memo: _checked(tp, value)
+        return (lambda value, pad, texts: write(value)), lambda value, memo: _checked(tp, value)
     if dataclasses.is_dataclass(tp):
         return _record(tp)
     origin, args = get_origin(tp), get_args(tp)
     if origin in (Union, UnionType):
         emit, decode = _codec(args[0])
         return (
-            lambda value, pad: "null" if value is None else emit(value, pad),
+            lambda value, pad, texts: "null" if value is None else emit(value, pad, texts),
             lambda value, memo: None if value is None else decode(value, memo),
         )
     if origin is dict:
@@ -442,9 +439,9 @@ def _codec(tp):
         emitters, decoders = itertools.repeat(emitters[0]), itertools.repeat(decoders[0])
     size = None if variadic else len(args)
 
-    def emit(value, pad):
+    def emit(value, pad, texts):
         inner = pad + "  "
-        return _block("[]", [write(item, inner) for write, item in zip(emitters, value)], pad)
+        return _block("[]", [write(item, inner, texts) for write, item in zip(emitters, value)], pad)
 
     return emit, lambda value, memo: _decode_items(value, decoders, size, memo)
 
@@ -452,7 +449,7 @@ def _codec(tp):
 def emit(value, tp=None) -> str:
     """What ``json.dumps(data, indent=2)`` writes for ``data`` the JSON form of
     ``value``, a document of type ``tp`` (default ``type(value)``)."""
-    return _codec(tp or type(value))[0](value, "\n")
+    return _codec(tp or type(value))[0](value, "\n", {})
 
 
 def from_json(cls, data):

@@ -135,17 +135,30 @@ def check_divisibility(model: FlagModel) -> DivisibilityStatus:
     return DivisibilityStatus(not failures, tuple(witnesses), tuple(failures))
 
 
+def _least(values) -> Fraction:
+    """``min(values)`` compared in integers, ``n/d < p/q`` as ``n*q < p*d`` with
+    positive denominators; like ``min`` it returns the first least object."""
+    least = values[0]
+    p, q = least.as_integer_ratio()
+    for value in values[1:]:
+        n, d = value.as_integer_ratio()
+        if n * q < p * d:
+            least, p, q = value, n, d
+    return least
+
+
 def seshadri_bounds(
     divisor: DivisorClass, model: FlagModel
 ) -> tuple[Fraction, Fraction]:
     """Two-sided bounds ``(min(a_1..a_g, b), min(a_1..a_g))`` for a nef class.
 
-    The class is nef exactly when the lower bound is nonnegative.
+    The class is nef exactly when the lower bound is nonnegative.  Each bound
+    is one of the coordinate objects itself.
     """
     coords = to_nef(divisor, model).coords
-    upper = min(coords[:-1])
-    lower = min(upper, coords[-1])
-    if lower < 0:
+    upper = _least(coords[:-1])
+    lower = _least((upper, coords[-1]))
+    if lower.numerator < 0:
         raise NotNef(
             "Seshadri constants are defined here only for nef classes; "
             f"nef-basis coordinates {[str(c) for c in coords]} "

@@ -183,7 +183,7 @@ class TestExitCodes:
 
 class TestInternalFailureExit:
     def test_examples_digest_mismatch_is_4(self, capsys, monkeypatch):
-        import flagcones.cli as cli_module
+        import flagcones.gallery as gallery_module
         from flagcones.gallery import Digest, Fixture, builtin_examples
 
         original = builtin_examples()[0]
@@ -197,7 +197,7 @@ class TestInternalFailureExit:
                 assumption_holds=original.digest.assumption_holds,
             ),
         )
-        monkeypatch.setattr(cli_module, "builtin_examples", lambda: (corrupted,))
+        monkeypatch.setattr(gallery_module, "builtin_examples", lambda: (corrupted,))
         assert main(["examples"]) == 4
         captured = capsys.readouterr()
         assert "FAIL" in captured.out
@@ -278,6 +278,23 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert "eps global" in proc.stdout
+
+    def test_report_run_imports_no_fixtures_or_selftest(self, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text(GOOD, encoding="utf-8")
+        script = (
+            "import contextlib, io, sys\n"
+            "import flagcones.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = flagcones.cli.main(['seshadri', sys.argv[1]])\n"
+            "print(code, *sorted({'flagcones.gallery', 'flagcones.selftest'} & set(sys.modules)))\n"
+            "from flagcones import builtin_examples\n"
+            "print(len(builtin_examples()))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(path)], capture_output=True, text=True
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n13\n", "")
 
     def test_reader_that_stops_early(self):
         proc = subprocess.Popen(

@@ -1,4 +1,6 @@
 import json
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -17,6 +19,7 @@ from flagcones import (
     parse_config,
     parse_rational,
 )
+import flagcones.config as config_module
 from flagcones.report import filtration_from_config
 
 GOOD = {
@@ -210,6 +213,44 @@ class TestCoordinateTokens:
         with pytest.raises(ParseError) as info:
             parse_config(as_text(data))
         assert (info.value.location, info.value.message) == ("divisors[1].coords[1]", message)
+
+
+class TestTokenTable:
+    def test_equal_tokens_give_one_object(self):
+        data = dict(GOOD)
+        data["divisors"] = [
+            {"name": "A", "basis": "nef", "coords": ["1/2", 3, "1/2"]},
+            {"name": "B", "basis": "pluecker", "coords": [3, "1/2", 5]},
+        ]
+        a, b = parse_config(as_text(data)).divisors
+        assert a.coords[0] is a.coords[2] is b.coords[1]
+        assert a.coords[1] is b.coords[0]
+
+    def test_spellings_of_one(self):
+        data = dict(GOOD)
+        data["divisors"] = [{"name": "A", "basis": "nef", "coords": [1, "1", "2/2", " 1 "]}]
+        (divisor,) = parse_config(as_text(data)).divisors
+        assert [(type(c), c) for c in divisor.coords] == [(Fraction, 1)] * 4
+
+    def test_each_distinct_token_decoded_once(self, monkeypatch):
+        # A fixed count, not a time budget: 6000 tokens drawn from a pool of 9.
+        pool = [1, "1", " 1 ", "2/2", 0, "0/5", "1/2", "-3/4", "22/7"]
+        rng = random.Random(13)
+        data = dict(GOOD)
+        data["divisors"] = [
+            {"name": f"D{k}", "basis": "nef", "coords": [rng.choice(pool) for _ in range(3)]}
+            for k in range(2000)
+        ]
+        decoded = Counter()
+
+        def counting(token, location="value"):
+            decoded[type(token), token] += 1
+            return parse_rational(token, location)
+
+        monkeypatch.setattr(config_module, "parse_rational", counting)
+        parse_config(as_text(data))
+        used = {(type(t), t) for divisor in data["divisors"] for t in divisor["coords"]}
+        assert decoded == Counter(used)
 
 
 # (degree, multiplicity) lists; the last pair repeats the first degree

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -288,6 +289,32 @@ class TestMachineFormat:
         assert render_machine(parse_machine(text)) == text
 
 
+def repeating(pool):
+    """RANK7_B with 20 classes whose coordinates all come from ``pool``."""
+    divisors = tuple(
+        DivisorClass(basis, tuple(pool[(k + j) % len(pool)] for j in range(5)), name=f"D{k}")
+        for k in range(10)
+        for basis in (Basis.NEF, Basis.PLUECKER)
+    )
+    return dataclasses.replace(RANK7_B, divisors=divisors)
+
+
+POOL_A = (Fraction(1, 2), Fraction(3), Fraction(7, 3), Fraction(0), Fraction(5, 4))
+POOL_B = (Fraction(2, 9), Fraction(11), Fraction(13, 6), Fraction(1), Fraction(9, 8))
+
+
+def rebuilt(value, make):
+    """``value`` with each rational in it replaced by ``make(rational)``."""
+    if type(value) is Fraction:
+        return make(value)
+    if type(value) is tuple:
+        return tuple(rebuilt(item, make) for item in value)
+    if dataclasses.is_dataclass(value):
+        fields = dataclasses.fields(value)
+        return dataclasses.replace(value, **{f.name: rebuilt(getattr(value, f.name), make) for f in fields})
+    return value
+
+
 def assert_json_dumps_fixed_point(text):
     # The reference is the standard library, which shares no code with the
     # emitter in report.py.
@@ -333,6 +360,21 @@ class TestEmitter:
             "notes": {},
         }
         assert emit(Digest(((1, 2),), 2, 3, True)) == emit(Digest(((1, 2),), Fraction(2), 3, True))
+
+    def test_shared_and_distinct_rationals_render_alike(self):
+        doc = run(repeating(POOL_A))
+        pool = {}
+        shared = rebuilt(doc, lambda value: pool.setdefault(value, value))
+        distinct = rebuilt(doc, lambda value: Fraction(value.numerator, value.denominator))
+        assert render_machine(shared) == render_machine(distinct) == render_machine(doc)
+
+    def test_no_text_carries_over_between_calls(self):
+        # B's rationals are built after A's are freed, so some take their ids.
+        first = render_machine(run(repeating(POOL_B)))
+        doc = run(repeating(POOL_A))
+        render_machine(doc)
+        del doc
+        assert render_machine(run(repeating(POOL_B))) == first
 
     @given(label=ESCAPED_TEXT, names=st.lists(ESCAPED_TEXT, min_size=1, max_size=3))
     @settings(max_examples=60, deadline=None)

@@ -26,6 +26,7 @@ from flagcones import (
     validate_hn,
 )
 from flagcones.selftest import random_divisibility_model, random_model, random_nef_divisor
+from flagcones.seshadri import _least
 
 
 def model_from(degrees, flag):
@@ -75,7 +76,30 @@ class TestDivisibilityCheck:
         assert [w.subbundle_degree for w in status.witnesses] == [6, 10, 10, 8]
 
 
+# Negatives, zeros, ties (equal values built as distinct objects) and
+# numerators near 10**40, whose differences a float would lose.
+NEAR = 10**40
+RATIONALS = st.one_of(
+    st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)),
+    st.builds(Fraction, st.integers(NEAR - 3, NEAR + 3), st.integers(1, 3)),
+    st.builds(Fraction, st.integers(-NEAR - 3, -NEAR + 3), st.integers(1, 3)),
+)
+
+
 class TestBounds:
+    @given(st.lists(RATIONALS, min_size=1, max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_integer_minimum_is_fraction_min(self, values):
+        assert _least(values) is min(values)
+
+    @given(st.lists(RATIONALS.map(abs), min_size=5, max_size=5))
+    @settings(max_examples=300, deadline=None)
+    def test_bounds_are_input_coordinates(self, coords):
+        upper = min(coords[:-1])
+        lower = min(upper, coords[-1])
+        bounds = seshadri_bounds(DivisorClass(Basis.NEF, coords), MODEL_7B)
+        assert bounds[0] is lower and bounds[1] is upper
+
     def test_plain(self):
         divisor = DivisorClass(Basis.NEF, (3, 4, 1))
         assert seshadri_bounds(divisor, MODEL_A) == (1, 3)
