@@ -37,13 +37,30 @@ def _too_many_digits() -> str:
     return f"integer has more than {sys.get_int_max_str_digits()} digits"
 
 
-def _unique_keys(pairs: list) -> dict:
-    obj = dict(pairs)
-    if len(obj) != len(pairs):
-        keys = [key for key, _ in pairs]
-        duplicate = next(key for key in keys if keys.count(key) > 1)
-        raise ParseError(f"duplicate key {duplicate!r}")
-    return obj
+# as dict keys True and 1.0 equal 1, so only arrays of ints and strings are shared
+_tokens_only = frozenset((int, str)).issuperset
+
+
+def _shared_unique_keys(share):
+    """The object hook of one document: duplicate keys are rejected, and each
+    string value, and each item of an array of only ints and strings, becomes
+    the first equal token given to ``share``, the document's ``dict.setdefault``."""
+
+    def unique_keys(pairs: list) -> dict:
+        obj = dict(pairs)
+        if len(obj) != len(pairs):
+            keys = [key for key, _ in pairs]
+            duplicate = next(key for key in keys if keys.count(key) > 1)
+            raise ParseError(f"duplicate key {duplicate!r}")
+        for key, value in pairs:
+            kind = type(value)
+            if kind is str:
+                obj[key] = share(value, value)
+            elif kind is list and _tokens_only(map(type, value)):
+                obj[key] = list(map(share, value, value))
+        return obj
+
+    return unique_keys
 
 
 def load_json(text: str):
@@ -51,9 +68,11 @@ def load_json(text: str):
 
     Duplicate object keys, integers longer than the interpreter's digit
     limit and nesting deeper than its recursion limit are rejected too.
+    Equal string values and equal int or string array items are one object
+    within a document, never across documents.
     """
     try:
-        return json.loads(text, object_pairs_hook=_unique_keys)
+        return json.loads(text, object_pairs_hook=_shared_unique_keys({}.setdefault))
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, f"line {exc.lineno}, column {exc.colno}") from None
     except ValueError:

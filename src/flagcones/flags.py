@@ -88,7 +88,8 @@ class DivisorClass:
     label: str = field(default="", compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "basis", Basis(self.basis))
+        if type(self.basis) is not Basis:
+            object.__setattr__(self, "basis", Basis(self.basis))
         object.__setattr__(self, "coords", _as_coords(self.coords))
 
 
@@ -200,10 +201,14 @@ def build_model(hn: HNFiltration, requested) -> FlagModel:
     return FlagModel(hn, spec, degrees)
 
 
+# every unit vector holds these two objects, so a document writes each once
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
 def _basis_unit(gamma: int, position: int) -> tuple[Fraction, ...]:
-    return tuple(
-        Fraction(1) if j == position else Fraction(0) for j in range(gamma + 1)
-    )
+    unit = [_ZERO] * (gamma + 1)
+    unit[position] = _ONE
+    return tuple(unit)
 
 
 def _twist_label(i: int, quotient_degree: int) -> str:
@@ -361,7 +366,7 @@ def pairing_matrix(
     pluecker = [c.coords for c in converted]
     lines = [tuple(p[i] for p in pluecker) for i in range(model.gamma)]
     section = tuple(
-        sum((c * t for c, t in zip(p, model.quotient_degrees)), start=p[-1])
+        sum((c * t for c, t in zip(p, model.quotient_degrees) if c), start=p[-1])
         for p in pluecker
     )
     return (*lines, section), tuple(zip(generators, converted))

@@ -93,9 +93,10 @@ def _identity_mismatch(matrix, size: int) -> str:
     if len(matrix) != size or any(len(row) != size for row in matrix):
         return f"pairing matrix is not {size} x {size}"
     for i, row in enumerate(matrix):
-        for j, entry in enumerate(row):
-            if entry != (1 if i == j else 0):
-                return f"pairing matrix is not the identity at ({i + 1}, {j + 1}): {entry}"
+        unit = (0,) * i + (1,) + (0,) * (size - 1 - i)
+        if tuple(row) != unit:
+            j = next(j for j, (entry, one) in enumerate(zip(row, unit)) if entry != one)
+            return f"pairing matrix is not the identity at ({i + 1}, {j + 1}): {row[j]}"
     return ""
 
 
@@ -308,6 +309,15 @@ def _emit_fraction(value, pad, texts: dict) -> str:
     return text
 
 
+def _emit_fractions(value, pad, texts: dict) -> str:
+    """A ``tuple[Fraction, ...]``: every item is looked up in ``texts`` in one
+    pass, and only the items missing there go through :func:`_emit_fraction`."""
+    found = list(map(texts.get, map(id, value)))
+    if None in found:
+        found = [text or _emit_fraction(item, pad, texts) for text, item in zip(found, value)]
+    return _block("[]", found, pad)
+
+
 # the JSON text of one value of each other scalar type
 _WRITERS = {
     int: int.__repr__,
@@ -443,6 +453,8 @@ def _codec(tp):
         inner = pad + "  "
         return _block("[]", [write(item, inner, texts) for write, item in zip(emitters, value)], pad)
 
+    if variadic and items == (Fraction,):
+        emit = _emit_fractions
     return emit, lambda value, memo: _decode_items(value, decoders, size, memo)
 
 

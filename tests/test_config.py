@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -17,9 +18,13 @@ from flagcones import (
     ValidationError,
     hn_filtration,
     parse_config,
+    parse_machine,
     parse_rational,
+    render_machine,
+    run,
 )
 import flagcones.config as config_module
+from flagcones.config import load_json
 from flagcones.report import filtration_from_config
 
 GOOD = {
@@ -251,6 +256,81 @@ class TestTokenTable:
         parse_config(as_text(data))
         used = {(type(t), t) for divisor in data["divisors"] for t in divisor["coords"]}
         assert decoded == Counter(used)
+
+
+class TestSharedTokens:
+    def test_equal_tokens_are_one_object_and_keep_their_type(self):
+        data = load_json('{"a": [1, true, 1.0, "1", 1], "b": "x", "c": "x", "d": "C 1", "e": "C 1"}')
+        assert [type(item) for item in data["a"]] == [int, bool, float, str, int]
+        assert data["a"] == [1, True, 1.0, "1", 1]
+        assert data["a"][0] is data["a"][4]
+        assert data["b"] is data["c"] and data["d"] is data["e"]
+
+    def test_arrays_of_ints_and_strings_share_items(self):
+        big = 10**30
+        data = load_json(f'{{"a": [{big}, "1/2"], "b": [{{"c": ["1/2", {big}]}}]}}')
+        inner = data["b"][0]["c"]
+        assert data["a"][0] is inner[1] and data["a"][1] is inner[0]
+
+    def test_no_token_shared_across_documents(self):
+        text = '{"a": ["1/2", 1000000], "b": "C 1"}'
+        first, second = load_json(text), load_json(text)
+        assert first == second
+        assert first["a"][0] is not second["a"][0]
+        assert first["a"][1] is not second["a"][1]
+        assert first["b"] is not second["b"]
+
+    def test_duplicate_key_still_rejected(self):
+        with pytest.raises(ParseError) as info:
+            load_json('{"a": "x", "b": ["x"], "a": "x"}')
+        assert (info.value.location, info.value.message) == (None, "duplicate key 'a'")
+
+
+def pooled_config(divisors: int = 2000) -> str:
+    """A gamma = 39 config whose coordinates come from a pool of 8 tokens."""
+    pool = ["1/2", "3/4", "5/3", "7/2", 2, 3, "9/4", "11/6"]
+    rng = random.Random(15)
+    data = {
+        "bundle": {"summands": [{"degree": d} for d in range(40)]},
+        "flag": {"quotient_ranks": list(range(39, 0, -1))},
+        "divisors": [
+            {
+                "name": f"D{k}",
+                "basis": ("nef", "pluecker")[k % 2],
+                "coords": [rng.choice(pool) for _ in range(40)],
+            }
+            for k in range(divisors)
+        ],
+    }
+    return json.dumps(data, indent=1)
+
+
+def peak_multiple(read, text: str) -> float:
+    """The peak memory ``read(text)`` allocates, as a multiple of the text's size."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = read(text)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert result is not None
+    return peak / len(text.encode())
+
+
+class TestReadPeakMemory:
+    # A fixed bound on allocations instead of a time budget.  Each token of a
+    # JSON document is a new object, so without one object per distinct token
+    # these read 5.7x and 3.3x (Python 3.11).
+    def test_parse_config_and_parse_machine_peaks(self):
+        text = pooled_config()
+        machine = render_machine(run(parse_config(text)))
+        assert peak_multiple(parse_config, text) < 3.5
+        assert peak_multiple(parse_machine, machine) < 2
 
 
 # (degree, multiplicity) lists; the last pair repeats the first degree
