@@ -43,13 +43,11 @@ from .errors import (
 from .flags import (
     Basis,
     CurveClass,
-    CurvePosition,
     DivisorClass,
     FlagModel,
     FlagSpec,
     Positivity,
     build_model,
-    classify_curve,
     classify_divisor,
     convert_basis,
     curve_generators,

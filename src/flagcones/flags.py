@@ -52,13 +52,6 @@ class Positivity(str, enum.Enum):
     NOT_NEF = "not_nef"
 
 
-class CurvePosition(str, enum.Enum):
-    """Position of a curve class relative to the cone of curves."""
-
-    MEMBER = "effective_cone_member"
-    OUTSIDE = "outside"
-
-
 def _exact(value) -> Fraction:
     if isinstance(value, float):
         raise ValidationError(
@@ -308,6 +301,15 @@ def _twist(coords, degrees) -> Fraction:
     return Fraction(sum(n * (common // d) * t for (n, d), t in zip(ratios, degrees)), common)
 
 
+def _checked_coords(divisor: DivisorClass, model: FlagModel) -> tuple[Fraction, ...]:
+    """The coordinates of ``divisor``, which must be ``gamma + 1`` many."""
+    if len(divisor.coords) != model.gamma + 1:
+        raise ValidationError(
+            f"expected {model.gamma + 1} coordinates, got {len(divisor.coords)}"
+        )
+    return divisor.coords
+
+
 def convert_basis(divisor: DivisorClass, model: FlagModel) -> DivisorClass:
     """Toggle a divisor class between the nef and pluecker bases.
 
@@ -315,34 +317,19 @@ def convert_basis(divisor: DivisorClass, model: FlagModel) -> DivisorClass:
     ``(a, b - sum(a_i t_i))`` and pluecker ``(c, e)`` maps back to nef
     ``(c, e + sum(c_i t_i))``; the round trip is the identity.
     """
-    if len(divisor.coords) != model.gamma + 1:
-        raise ValidationError(
-            f"expected {model.gamma + 1} coordinates, got {len(divisor.coords)}"
-        )
-    front = divisor.coords[:-1]
+    *front, last = _checked_coords(divisor, model)
     twist = _twist(front, model.quotient_degrees)
     if divisor.basis is Basis.NEF:
-        return DivisorClass(
-            Basis.PLUECKER,
-            front + (divisor.coords[-1] - twist,),
-            name=divisor.name,
-            label=divisor.label,
-        )
-    return DivisorClass(
-        Basis.NEF,
-        front + (divisor.coords[-1] + twist,),
-        name=divisor.name,
-        label=divisor.label,
-    )
+        basis, last = Basis.PLUECKER, last - twist
+    else:
+        basis, last = Basis.NEF, last + twist
+    return DivisorClass(basis, (*front, last), name=divisor.name, label=divisor.label)
 
 
 def to_nef(divisor: DivisorClass, model: FlagModel) -> DivisorClass:
     """The same class in nef-basis coordinates."""
     if divisor.basis is Basis.NEF:
-        if len(divisor.coords) != model.gamma + 1:
-            raise ValidationError(
-                f"expected {model.gamma + 1} coordinates, got {len(divisor.coords)}"
-            )
+        _checked_coords(divisor, model)
         return divisor
     return convert_basis(divisor, model)
 
@@ -372,23 +359,29 @@ def pairing_matrix(
     return (*lines, section), tuple(zip(generators, converted))
 
 
-def classify_divisor(divisor: DivisorClass, model: FlagModel) -> Positivity:
-    """Ample, nef-but-not-ample, or not nef.
+def _least(values) -> Fraction:
+    """``min(values)`` compared in integers, ``n/d < p/q`` as ``n*q < p*d`` with
+    positive denominators; like ``min`` it returns the first least object."""
+    least = values[0]
+    p, q = least.as_integer_ratio()
+    for value in values[1:]:
+        n, d = value.as_integer_ratio()
+        if n * q < p * d:
+            least, p, q = value, n, d
+    return least
 
-    Nef means all nef-basis coordinates are >= 0; ample means all are
-    strictly positive (the interior of the simplicial nef cone).  The signs
-    are read off the numerators; denominators are positive.
-    """
-    numerators = [a.numerator for a in to_nef(divisor, model).coords]
-    if all(a > 0 for a in numerators):
+
+def _positivity(least: Fraction) -> Positivity:
+    """Where a class lies, from its least nef-basis coordinate: the nef cone
+    is the nonnegative orthant of that basis and the ample cone its interior."""
+    if least.numerator > 0:
         return Positivity.AMPLE
-    if all(a >= 0 for a in numerators):
+    if least.numerator == 0:
         return Positivity.NEF_NOT_AMPLE
     return Positivity.NOT_NEF
 
 
-def classify_curve(curve: CurveClass) -> CurvePosition:
-    """Membership of a curve class in the cone of curves."""
-    if all(p >= 0 for p in curve.coords):
-        return CurvePosition.MEMBER
-    return CurvePosition.OUTSIDE
+def classify_divisor(divisor: DivisorClass, model: FlagModel) -> Positivity:
+    """Ample, nef-but-not-ample, or not nef, read off the least nef-basis
+    coordinate: > 0 is ample, 0 is nef but not ample, < 0 is not nef."""
+    return _positivity(_least(to_nef(divisor, model).coords))

@@ -10,8 +10,6 @@ identical configs produce byte-identical output.
 import dataclasses
 import functools
 import itertools
-import math
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -20,7 +18,7 @@ from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 from . import seshadri as sesh
 from .bundles import CurveInfo, HNFiltration, split_steps, validate_hn
-from .config import ProblemConfig, _decode_once, _too_many_digits, load_json, parse_rational
+from .config import ProblemConfig, _decode_once, load_json, parse_rational
 from .errors import (
     EXIT_OK,
     FlagconesError,
@@ -107,7 +105,7 @@ class ConesSection:
     pairing_matrix: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        problem = _identity_mismatch(self.pairing_matrix, len(self.pairing_matrix))
+        problem = _identity_mismatch(self.pairing_matrix, len(self.curve_generators))
         if problem:
             raise ValidationError(problem)
 
@@ -156,14 +154,21 @@ def model_from_config(config: ProblemConfig) -> FlagModel:
     return build_model(hn, config.flag_ranks)
 
 
-def assert_duality(model: FlagModel):
-    """Recompute the pairing matrix and require it to be the identity;
-    returns what :func:`pairing_matrix` returns."""
+def assert_duality(model: FlagModel) -> ConesSection:
+    """The cone generators and their pairing matrix, which
+    :class:`ConesSection` requires to be the identity; a model that breaks
+    that raises :class:`InternalCheckFailure` with the same message."""
     matrix, generators = pairing_matrix(model)
-    problem = _identity_mismatch(matrix, model.gamma + 1)
-    if problem:
-        raise InternalCheckFailure(problem)
-    return matrix, generators
+    divisor_infos = tuple(
+        DivisorGeneratorInfo(g.name, g.label, g.coords, p.coords) for g, p in generators
+    )
+    curve_infos = tuple(
+        CurveGeneratorInfo(c.name, c.label, c.coords) for c in curve_generators(model)
+    )
+    try:
+        return ConesSection(divisor_infos, curve_infos, matrix)
+    except ValidationError as exc:
+        raise InternalCheckFailure(str(exc)) from None
 
 
 def _model_summary(
@@ -192,17 +197,6 @@ def _model_summary(
         quotient_ranks=quotient_ranks(hn),
         **flag_fields,
     )
-
-
-def _cones_section(model: FlagModel) -> ConesSection:
-    matrix, generators = assert_duality(model)
-    divisor_infos = tuple(
-        DivisorGeneratorInfo(g.name, g.label, g.coords, p.coords) for g, p in generators
-    )
-    curve_infos = tuple(
-        CurveGeneratorInfo(c.name, c.label, c.coords) for c in curve_generators(model)
-    )
-    return ConesSection(divisor_infos, curve_infos, matrix)
 
 
 def _divisor_entry(
@@ -238,7 +232,7 @@ def run_cones(config: ProblemConfig) -> ReportDocument:
     """Model plus cone generators and the (verified) pairing matrix."""
     model = model_from_config(config)
     return ReportDocument(
-        SPEC_VERSION, _model_summary(config, model.hn, model), _cones_section(model)
+        SPEC_VERSION, _model_summary(config, model.hn, model), assert_duality(model)
     )
 
 
@@ -255,7 +249,7 @@ def run(config: ProblemConfig) -> ReportDocument:
     return ReportDocument(
         SPEC_VERSION,
         _model_summary(config, model.hn, model),
-        _cones_section(model),
+        assert_duality(model),
         status,
         entries,
     )
@@ -325,24 +319,17 @@ _WRITERS = {
     bool: {True: "true", False: "false"}.__getitem__,
 }
 
-# the shape of the strings _emit_fraction writes; lowest terms is checked apart
-_CANONICAL_RATIONAL = re.compile(r"(-?[1-9]\d*)/([1-9]\d*)\Z")
-
 
 def _decode_fraction(token) -> Fraction:
-    """Inverse of :func:`_emit_fraction`: other spellings of a rational
-    (``"4/2"``, ``" 2/14 "``, ``"+3/5"``, ``"3"``) are rejected."""
+    """Inverse of :func:`_emit_fraction`: a token is read by
+    :func:`~flagcones.config.parse_rational` and accepted only if it is what
+    the writer writes, so ``"4/2"``, ``" 2/14 "``, ``"+3/5"``, ``"3"`` and
+    non-ASCII digits are rejected."""
     if type(token) is int:
         return Fraction(token)
-    match = _CANONICAL_RATIONAL.match(token) if type(token) is str else None
-    if match is not None:
-        try:
-            numerator, denominator = int(match[1]), int(match[2])
-        except ValueError:
-            raise ParseError(_too_many_digits()) from None
-        if denominator > 1 and math.gcd(numerator, denominator) == 1:
-            return Fraction(numerator, denominator)
-    parse_rational(token, None)  # names the fault of text that is no rational
+    value = parse_rational(token, None)
+    if _emit_fraction(value, None, {}) == f'"{token}"':
+        return value
     raise ParseError(f'not "p/q" in lowest terms with q > 1: {token!r}')
 
 

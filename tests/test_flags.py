@@ -9,7 +9,6 @@ from flagcones import (
     Basis,
     BasisMismatch,
     CurveClass,
-    CurvePosition,
     DivisorClass,
     NotStrictlyDecreasing,
     Positivity,
@@ -18,7 +17,6 @@ from flagcones import (
     SplitBundle,
     ValidationError,
     build_model,
-    classify_curve,
     classify_divisor,
     convert_basis,
     curve_generators,
@@ -256,11 +254,6 @@ class TestClassification:
             classify_divisor(DivisorClass(Basis.PLUECKER, (1, 0, 0)), model)
             is Positivity.NOT_NEF
         )
-
-    def test_curve_classes(self):
-        assert classify_curve(CurveClass((1, 0, 2))) is CurvePosition.MEMBER
-        assert classify_curve(CurveClass((0, 0, 0))) is CurvePosition.MEMBER
-        assert classify_curve(CurveClass((-1, 1, 1))) is CurvePosition.OUTSIDE
 
     def test_rational_coordinates_accepted(self):
         divisor = DivisorClass(Basis.NEF, (Fraction(1, 3), Fraction(2, 7), 0))

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -68,10 +69,22 @@ ILL_TYPED = {
 
 # Rationals parse_machine must refuse at model.slope: each reads as a
 # rational, but none is the form render_machine writes.
-NON_CANONICAL = [" 2/14 ", "4/2", "+3/5", "3", "3/1", "0/5"]
+NON_CANONICAL = [" 2/14 ", "4/2", "+3/5", "3", "3/1", "0/5", "1\u0660/7"]
 
 REJECTED = [pytest.param(location, mutate, id=location) for location, mutate in ILL_TYPED.items()]
 REJECTED += [pytest.param("cones", lambda d: d["cones"]["pairing_matrix"].pop(), id="cones-not-square")]
+# RANK7_B has five cone generators of each kind, so these identities are
+# square but of the wrong size.
+REJECTED += [
+    pytest.param(
+        "cones",
+        lambda d, n=n: d["cones"].__setitem__(
+            "pairing_matrix", [[int(i == j) for j in range(n)] for i in range(n)]
+        ),
+        id=f"cones-identity-{n}x{n}",
+    )
+    for n in (4, 6)
+]
 REJECTED += [
     pytest.param("model.slope", lambda d, v=v: d["model"].__setitem__("slope", v), id=f"model.slope={v!r}")
     for v in NON_CANONICAL
@@ -253,6 +266,23 @@ class TestMachineFormat:
         assert excinfo.value.location == location
         assert str(excinfo.value).startswith(location + ": ")
 
+    def test_accepted_rational_renders_back(self):
+        data = json.loads(render_machine(run(RANK7_B)))
+        numerators = ["0", "1", "3", "10", "03", "1\u0660", "\u0663"]
+        denominators = ["1", "7", "14", "07", "\u0667"]
+        accepted = []
+        for sign, p, q in itertools.product(["", "-", "+", " "], numerators, denominators):
+            data["model"]["slope"] = token = f"{sign}{p}/{q}"
+            text = json.dumps(data, indent=2) + "\n"
+            try:
+                doc = parse_machine(text)
+            except ParseError:
+                continue
+            assert render_machine(doc) == text
+            accepted.append(token)
+        written = ["1/7", "1/14", "3/7", "3/14", "10/7"]
+        assert accepted == written + ["-" + token for token in written]
+
     # Equal to the 1 decoded at pairing_matrix[0][0] as dict keys, but
     # neither is a rational the codec writes.
     @pytest.mark.parametrize(
@@ -410,6 +440,20 @@ class TestHumanFormat:
 
 
 class TestDualityGuard:
+    def test_one_identity_check_per_run(self, monkeypatch):
+        import flagcones.report as report_module
+
+        calls = []
+        check = report_module._identity_mismatch
+
+        def counted(matrix, size):
+            calls.append(size)
+            return check(matrix, size)
+
+        monkeypatch.setattr(report_module, "_identity_mismatch", counted)
+        run(RANK7_B)
+        assert calls == [5]
+
     def test_sabotaged_model_is_caught(self, monkeypatch):
         import flagcones.report as report_module
 

@@ -26,7 +26,7 @@ from flagcones import (
     validate_hn,
 )
 from flagcones.selftest import random_divisibility_model, random_model, random_nef_divisor
-from flagcones.seshadri import _least
+from flagcones.flags import _least
 
 
 def model_from(degrees, flag):
