@@ -181,29 +181,34 @@ class ProblemConfig:
     flag_ranks: tuple[int, ...]
     divisors: tuple[DivisorClass, ...] = field(default=())
 
+    def __post_init__(self):
+        if (self.summands is None) == (self.hn_steps is None):
+            raise ValidationError("bundle must have exactly one of 'summands' or 'hn_steps'")
+
+
+def _built(make, where: str, *args):
+    """``make(*args)``, with a :class:`ValidationError` prefixed by the path ``where``."""
+    try:
+        return make(*args)
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
+
 
 def _parse_curve(data) -> CurveInfo:
     if data is None:
         return CurveInfo()
     obj = _require_object(data, "curve", {"genus", "label"})
     genus = _require_int(obj.get("genus", 0), "curve.genus")
-    if genus < 0:
-        raise ValidationError(f"curve.genus must be >= 0, got {genus}")
     label = obj.get("label", "X")
     if not isinstance(label, str):
         raise ParseError(f"expected a string, got {label!r}", "curve.label")
-    return CurveInfo(genus, _require_text(label, "curve.label"))
+    return _built(CurveInfo, "curve", genus, _require_text(label, "curve.label"))
 
 
 def _parse_bundle(data):
     obj = _require_object(data, "bundle", {"summands", "hn_steps"})
-    has_summands = "summands" in obj
-    has_steps = "hn_steps" in obj
-    if has_summands == has_steps:
-        raise ValidationError(
-            "bundle must have exactly one of 'summands' or 'hn_steps'"
-        )
-    if has_summands:
+    summands = steps = None
+    if "summands" in obj:
         entries = _require_array(obj["summands"], "bundle.summands")
         if not entries:
             raise ValidationError("bundle.summands must not be empty")
@@ -217,25 +222,23 @@ def _parse_bundle(data):
             multiplicity = _require_int(
                 item.get("multiplicity", 1), f"{where}.multiplicity"
             )
-            if multiplicity < 1:
-                raise ValidationError(
-                    f"{where}.multiplicity must be >= 1, got {multiplicity}"
-                )
-            summands.append(SummandSpec(degree, multiplicity))
-        return tuple(summands), None
-    entries = _require_array(obj["hn_steps"], "bundle.hn_steps")
-    if not entries:
-        raise ValidationError("bundle.hn_steps must not be empty")
-    steps = []
-    for pos, entry in enumerate(entries):
-        where = f"bundle.hn_steps[{pos}]"
-        pair = _require_array(entry, where)
-        if len(pair) != 2:
-            raise ValidationError(f"{where}: expected [rank, degree]")
-        steps.append(
-            (_require_int(pair[0], f"{where}[0]"), _require_int(pair[1], f"{where}[1]"))
-        )
-    return None, tuple(steps)
+            summands.append(_built(SummandSpec, where, degree, multiplicity))
+        summands = tuple(summands)
+    if "hn_steps" in obj:
+        entries = _require_array(obj["hn_steps"], "bundle.hn_steps")
+        if not entries:
+            raise ValidationError("bundle.hn_steps must not be empty")
+        steps = []
+        for pos, entry in enumerate(entries):
+            where = f"bundle.hn_steps[{pos}]"
+            pair = _require_array(entry, where)
+            if len(pair) != 2:
+                raise ValidationError(f"{where}: expected [rank, degree]")
+            steps.append(
+                (_require_int(pair[0], f"{where}[0]"), _require_int(pair[1], f"{where}[1]"))
+            )
+        steps = tuple(steps)
+    return summands, steps
 
 
 def _parse_flag(data) -> tuple[int, ...]:
@@ -276,15 +279,14 @@ def _parse_divisors(data) -> tuple[DivisorClass, ...]:
                 f"{where}: 'basis' must be 'nef' or 'pluecker', got {basis_text!r}"
             ) from None
         coords_raw = _require_array(item.get("coords"), f"{where}.coords")
-        if not coords_raw:
-            raise ValidationError(f"{where}.coords must not be empty")
         try:
             coords = tuple([rational(v, memo) for v in coords_raw])
         except ParseError:
             for j, v in enumerate(coords_raw):  # locate the first bad coordinate
                 parse_rational(v, f"{where}.coords[{j}]")
             raise
-        divisors.append(DivisorClass(basis, coords, name=_require_text(name, f"{where}.name")))
+        name = _require_text(name, f"{where}.name")
+        divisors.append(_built(DivisorClass, where, basis, coords, name))
     return tuple(divisors)
 
 

@@ -105,7 +105,12 @@ class ConesSection:
     pairing_matrix: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        problem = _identity_mismatch(self.pairing_matrix, len(self.curve_generators))
+        size = len(self.curve_generators)
+        sizes = {len(self.nef_generators), *(len(c.coords) for c in self.curve_generators)}
+        sizes.update(len(v) for g in self.nef_generators for v in (g.nef, g.pluecker))
+        problem = _identity_mismatch(self.pairing_matrix, size)
+        if not problem and sizes != {size}:
+            problem = f"expected {size} nef generators and {size} coordinates per generator"
         if problem:
             raise ValidationError(problem)
 
@@ -270,7 +275,8 @@ def worst_exit_code(doc: ReportDocument) -> int:
 # One codec serves every machine document: it is derived from the dataclass
 # fields and their type hints, compiled once per type.  JSON keys are the
 # field names unless a field carries ``metadata={"json": key}``, and one keyed
-# ``None`` (last, with a default) is neither written nor read.  A type's
+# ``None`` (last, with a default) is neither written nor read.  A field with
+# ``init=False`` is derived: written, and on read it must equal the derived value.  A type's
 # ``emit(value, pad, texts)`` writes what ``json.dumps(..., indent=2)`` would,
 # with ``pad`` the newline and indent its value starts on and ``texts`` the
 # rationals written in this document; ``decode(data, memo)`` reads it back,
@@ -377,9 +383,11 @@ def _block(brackets: str, items: list[str], pad: str) -> str:
 def _record(cls):
     hints = get_type_hints(cls)
     keyed = [(f.metadata.get("json", f.name), f) for f in dataclasses.fields(cls)]
-    fields = [(key, f.name, *_codec(hints[f.name])) for key, f in keyed if key is not None]
+    fields = [(key, f, *_codec(hints[f.name])) for key, f in keyed if key is not None]
     keys = {key for key, *_ in fields}
-    writers = [(encode_basestring_ascii(key) + ": ", name, enc) for key, name, enc, _ in fields]
+    writers = [(encode_basestring_ascii(key) + ": ", f.name, enc) for key, f, enc, _ in fields]
+    given = [i for i, (_, f, *_) in enumerate(fields) if f.init]
+    derived = [(i, key, f.name) for i, (key, f, *_) in enumerate(fields) if not f.init]
 
     def emit(value, pad, texts):
         inner = pad + "  "
@@ -399,9 +407,14 @@ def _record(cls):
         except ParseError as exc:
             raise _at(exc, key) from None
         try:
-            return cls(*items)
+            record = cls(*[items[i] for i in given] if derived else items)
         except ValidationError as exc:
             raise ParseError(str(exc)) from None
+        for i, key, name in derived:
+            read, own = items[i], getattr(record, name)  # a dict must match in key order too
+            if read is not own and (read != own or type(own) is dict and list(read) != list(own)):
+                raise ParseError(f"{key} does not follow from the other fields")
+        return record
 
     return emit, decode
 

@@ -239,10 +239,6 @@ def _seshadri_trial(rng) -> str:
     divisor = random_nef_divisor(rng, model.gamma)
     report = sesh.full_report(divisor, model)
     coords = report.divisor.coords
-    if report.lower > report.upper:
-        return "lower exceeds upper"
-    if report.epsilon_global != report.lower or report.epsilon_at_section != report.lower:
-        return "global/section value differs from the lower bound"
     ratios = [
         sesh.seshadri_ratio(curve, report.divisor, 1)
         for curve in curve_generators(model)
@@ -251,8 +247,6 @@ def _seshadri_trial(rng) -> str:
         return "generator ratios do not attain the global value"
     if coords[-1] >= min(coords[:-1]) and report.lower != report.upper:
         return "constant case did not collapse the bounds"
-    if report.epsilon_general is not None and report.epsilon_general != report.upper:
-        return "known general value differs from the upper bound"
     # positive scaling
     t = Fraction(rng.randint(1, 9), rng.randint(1, 9))
     scaled = sesh.full_report(

@@ -30,37 +30,38 @@ from .flags import _least, _positivity
 NO_RANK_MATCH = "no_rank_match"
 NOT_DIVISIBLE = "not_divisible"
 
-NOTE_LOWER = (
-    "lower bound min(a_1..a_g, b): fiber curves give at least min(a), "
-    "curves dominating the base give at least b"
-)
-NOTE_UPPER = (
-    "upper bound min(a_1..a_g): a line moved through the point has ratio a_i"
-)
-NOTE_GLOBAL = (
-    "global value equals the lower bound; it is attained at points of the "
-    "distinguished section"
-)
-NOTE_AT_SECTION = (
-    "at a section point the section curve itself realizes the ratio b, and "
-    "moved lines realize the a_i"
-)
-NOTE_GENERAL_CONSTANT = (
-    "b >= min(a_1..a_g), so the value is min(a_1..a_g) at every point"
-)
-NOTE_GENERAL_DIVISIBILITY = (
-    "divisibility condition holds, so the value at very general points is "
-    "min(a_1..a_g)"
-)
-NOTE_GENERAL_OPEN = (
-    "unknown: the divisibility condition fails and b < min(a_1..a_g); "
-    "whether the very-general value still equals min(a_1..a_g) is open, "
-    "only the two-sided bounds are known"
-)
-
 RULE_CONSTANT = "constant_case"
 RULE_DIVISIBILITY = "divisibility_condition"
 RULE_OPEN = "open"
+
+# the notes of every report, in the order written; ``general`` comes last
+_NOTES = {
+    "lower": (
+        "lower bound min(a_1..a_g, b): fiber curves give at least min(a), "
+        "curves dominating the base give at least b"
+    ),
+    "upper": "upper bound min(a_1..a_g): a line moved through the point has ratio a_i",
+    "global": (
+        "global value equals the lower bound; it is attained at points of the "
+        "distinguished section"
+    ),
+    "at_section": (
+        "at a section point the section curve itself realizes the ratio b, and "
+        "moved lines realize the a_i"
+    ),
+}
+# the ``general`` note of each rule
+_GENERAL_NOTES = {
+    RULE_CONSTANT: "b >= min(a_1..a_g), so the value is min(a_1..a_g) at every point",
+    RULE_DIVISIBILITY: (
+        "divisibility condition holds, so the value at very general points is min(a_1..a_g)"
+    ),
+    RULE_OPEN: (
+        "unknown: the divisibility condition fails and b < min(a_1..a_g); "
+        "whether the very-general value still equals min(a_1..a_g) is open, "
+        "only the two-sided bounds are known"
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -68,17 +69,25 @@ class Witness:
     """Outcome of the divisibility condition at one flag position.
 
     ``index`` is the 1-based position in the flag, ``hn_index`` the
-    1-based filtration step whose rank equals ``flag_rank``,
-    ``subbundle_degree`` that step's degree and ``divisible`` whether
-    ``flag_rank`` divides it; all three are ``None`` when no step has
-    that rank.
+    1-based filtration step whose rank equals ``flag_rank`` and
+    ``subbundle_degree`` that step's degree, both ``None`` when no step
+    has that rank.  ``divisible``, whether ``flag_rank`` divides the
+    degree, is derived; it is ``None`` without a step.
     """
 
     index: int
     flag_rank: int
     hn_index: Optional[int]
     subbundle_degree: Optional[int]
-    divisible: Optional[bool]
+    divisible: Optional[bool] = field(init=False)
+
+    def __post_init__(self):
+        if self.flag_rank < 1:
+            raise ValidationError(f"flag rank must be >= 1, got {self.flag_rank}")
+        if (self.hn_index is None) != (self.subbundle_degree is None):
+            raise ValidationError("hn_index and subbundle_degree must be both set or both null")
+        degree, rank = self.subbundle_degree, self.flag_rank
+        object.__setattr__(self, "divisible", None if degree is None else degree % rank == 0)
 
 
 @dataclass(frozen=True)
@@ -92,15 +101,20 @@ class Failure:
 @dataclass(frozen=True)
 class DivisibilityStatus:
     """Outcome of the divisibility condition check, one witness per flag
-    position; it is the ``assumption`` section of a machine document."""
+    position; it is the ``assumption`` section of a machine document.
+    ``failures`` and ``holds`` are derived from the witnesses."""
 
-    holds: bool
+    holds: bool = field(init=False)
     witnesses: tuple[Witness, ...]
-    failures: tuple[Failure, ...]
+    failures: tuple[Failure, ...] = field(init=False)
 
     def __post_init__(self):
-        if self.holds != (not self.failures):
-            raise ValidationError(f"holds is {self.holds} with {len(self.failures)} failures")
+        failures = tuple(
+            Failure(w.index, NO_RANK_MATCH if w.divisible is None else NOT_DIVISIBLE)
+            for w in self.witnesses if not w.divisible
+        )
+        object.__setattr__(self, "holds", not failures)
+        object.__setattr__(self, "failures", failures)
 
 
 def check_divisibility(model: FlagModel) -> DivisibilityStatus:
@@ -120,20 +134,9 @@ def check_divisibility(model: FlagModel) -> DivisibilityStatus:
     >>> status.holds, [failure.reason for failure in status.failures]
     (False, ['no_rank_match', 'no_rank_match'])
     """
-    witnesses: list[Witness] = []
-    failures: list[Failure] = []
-    for i, r in enumerate(model.spec.quotient_ranks, start=1):
-        witness = Witness(i, r, None, None, None)
-        for c, step in enumerate(model.hn.steps, start=1):
-            if step.rank == r:
-                witness = Witness(i, r, c, step.degree, step.degree % r == 0)
-                break
-        witnesses.append(witness)
-        if witness.hn_index is None:
-            failures.append(Failure(i, NO_RANK_MATCH))
-        elif not witness.divisible:
-            failures.append(Failure(i, NOT_DIVISIBLE))
-    return DivisibilityStatus(not failures, tuple(witnesses), tuple(failures))
+    steps = {step.rank: (c, step.degree) for c, step in enumerate(model.hn.steps, start=1)}
+    ranks = enumerate(model.spec.quotient_ranks, start=1)
+    return DivisibilityStatus(tuple(Witness(i, r, *steps.get(r, (None, None))) for i, r in ranks))
 
 
 def seshadri_bounds(
@@ -158,19 +161,15 @@ def seshadri_bounds(
     return lower, upper
 
 
-def _general_rule(
-    lower: Fraction, upper: Fraction, holds: bool
-) -> tuple[Optional[Fraction], str, str]:
-    """Very-general value (``None`` when open), the rule deciding it, its note.
+def _general_rule(lower: Fraction, upper: Fraction, holds: bool) -> str:
+    """The rule deciding the very-general value.
 
     The constant case ``b >= min(a)`` collapses the bounds and needs no
     condition; otherwise the divisibility condition decides.
     """
     if lower == upper:
-        return upper, RULE_CONSTANT, NOTE_GENERAL_CONSTANT
-    if holds:
-        return upper, RULE_DIVISIBILITY, NOTE_GENERAL_DIVISIBILITY
-    return None, RULE_OPEN, NOTE_GENERAL_OPEN
+        return RULE_CONSTANT
+    return RULE_DIVISIBILITY if holds else RULE_OPEN
 
 
 def seshadri_ratio(
@@ -219,22 +218,31 @@ class SeshadriReport:
     """All Seshadri data for one nef divisor class; it is the ``seshadri``
     record of a machine document, which does not write ``divisor``.
 
-    ``epsilon_general`` is ``None`` exactly when ``general_rule`` is
-    ``"open"``; the bounds then say everything that is known.
+    The bounds and the rule fix the rest: the global value and the value
+    at a section point are ``lower`` itself, the very-general value is
+    ``upper`` unless the rule is ``"open"`` (then ``None``; the bounds say
+    everything that is known), and the notes follow from the rule.
     """
 
     lower: Fraction
     upper: Fraction
-    epsilon_global: Fraction = field(metadata={"json": "global"})
-    epsilon_at_section: Fraction = field(metadata={"json": "at_section"})
-    epsilon_general: Optional[Fraction] = field(metadata={"json": "general"})
+    epsilon_global: Fraction = field(init=False, metadata={"json": "global"})
+    epsilon_at_section: Fraction = field(init=False, metadata={"json": "at_section"})
+    epsilon_general: Optional[Fraction] = field(init=False, metadata={"json": "general"})
     general_rule: str
-    notes: dict[str, str]
+    notes: dict[str, str] = field(init=False)
     divisor: Optional[DivisorClass] = field(default=None, compare=False, metadata={"json": None})
 
     def __post_init__(self):
-        if self.lower > self.upper:
-            raise ValidationError(f"lower bound {self.lower} exceeds upper bound {self.upper}")
+        lower, upper, rule = self.lower, self.upper, self.general_rule
+        if lower > upper:
+            raise ValidationError(f"lower bound {lower} exceeds upper bound {upper}")
+        if rule not in _GENERAL_NOTES or (rule == RULE_CONSTANT) != (lower == upper):
+            raise ValidationError(f"general rule {rule!r} does not fit bounds {lower} and {upper}")
+        object.__setattr__(self, "epsilon_global", lower)
+        object.__setattr__(self, "epsilon_at_section", lower)
+        object.__setattr__(self, "epsilon_general", None if rule == RULE_OPEN else upper)
+        object.__setattr__(self, "notes", {**_NOTES, "general": _GENERAL_NOTES[rule]})
 
 
 def full_report(
@@ -249,21 +257,4 @@ def full_report(
     lower, upper = seshadri_bounds(converted, model)
     if status is None:
         status = check_divisibility(model)
-    general, rule, general_note = _general_rule(lower, upper, status.holds)
-    notes = {
-        "lower": NOTE_LOWER,
-        "upper": NOTE_UPPER,
-        "global": NOTE_GLOBAL,
-        "at_section": NOTE_AT_SECTION,
-        "general": general_note,
-    }
-    return SeshadriReport(
-        lower=lower,
-        upper=upper,
-        epsilon_global=lower,
-        epsilon_at_section=lower,
-        epsilon_general=general,
-        general_rule=rule,
-        notes=notes,
-        divisor=converted,
-    )
+    return SeshadriReport(lower, upper, _general_rule(lower, upper, status.holds), converted)

@@ -117,14 +117,16 @@ class TestParseConfig:
     def test_both_bundle_forms(self):
         data = dict(GOOD)
         data["bundle"] = {"summands": [{"degree": 1}], "hn_steps": [[1, 1]]}
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError) as info:
             parse_config(as_text(data))
+        assert str(info.value) == "bundle must have exactly one of 'summands' or 'hn_steps'"
 
     def test_neither_bundle_form(self):
         data = dict(GOOD)
         data["bundle"] = {}
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError) as info:
             parse_config(as_text(data))
+        assert str(info.value) == "bundle must have exactly one of 'summands' or 'hn_steps'"
 
     def test_missing_flag(self):
         data = {k: v for k, v in GOOD.items() if k != "flag"}
@@ -152,8 +154,9 @@ class TestParseConfig:
     def test_bad_multiplicity(self):
         data = dict(GOOD)
         data["bundle"] = {"summands": [{"degree": 1, "multiplicity": 0}]}
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError) as info:
             parse_config(as_text(data))
+        assert str(info.value) == "bundle.summands[0]: multiplicity must be >= 1, got 0"
 
     def test_multiplicity_below_one_rejected_by_hand(self):
         with pytest.raises(ValidationError, match="multiplicity must be >= 1, got 0"):
@@ -164,8 +167,16 @@ class TestParseConfig:
     def test_negative_genus(self):
         data = dict(GOOD)
         data["curve"] = {"genus": -1}
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError) as info:
             parse_config(as_text(data))
+        assert str(info.value) == "curve: genus must be >= 0, got -1"
+
+    def test_empty_coords(self):
+        data = dict(GOOD)
+        data["divisors"] = [{"name": "L", "basis": "nef", "coords": []}]
+        with pytest.raises(ValidationError) as info:
+            parse_config(as_text(data))
+        assert str(info.value) == "divisors[0]: a class needs at least one coordinate"
 
     def test_unknown_key(self):
         data = dict(GOOD)
@@ -184,6 +195,18 @@ class TestParseConfig:
         data["flag"] = {"quotient_ranks": [0]}
         with pytest.raises(ValidationError):
             parse_config(as_text(data))
+
+
+class TestProblemConfig:
+    @pytest.mark.parametrize(
+        "summands, hn_steps",
+        [(None, None), ((SummandSpec(1, 1), SummandSpec(0, 1)), ((1, 1), (2, 1)))],
+        ids=["neither", "both"],
+    )
+    def test_exactly_one_bundle_form(self, summands, hn_steps):
+        with pytest.raises(ValidationError) as info:
+            ProblemConfig(CurveInfo(), summands, hn_steps, (1,))
+        assert str(info.value) == "bundle must have exactly one of 'summands' or 'hn_steps'"
 
 
 # The messages parse_rational gives for bad coordinate tokens.

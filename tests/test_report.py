@@ -91,6 +91,42 @@ REJECTED += [
 ]
 
 
+def seshadri_of(d):
+    return d["divisors"][0]["seshadri"]
+
+
+def first_witness(d):
+    return d["assumption"]["witnesses"][0]
+
+
+def unmatched_not_divisible(d):
+    # a consistent witness with no step, but its failure says not_divisible
+    first_witness(d).update(hn_index=None, subbundle_degree=None, divisible=None)
+    d["assumption"].update(holds=False, failures=[{"index": 1, "reason": "not_divisible"}])
+
+
+# Well-typed documents that contradict what their records derive or require.
+# RANK7_B's divisor L has equal bounds 1, and its witnesses all have a step.
+CONTRADICTIONS = {
+    "global-beside-lower": ("divisors[0].seshadri", lambda d: seshadri_of(d).update({"global": "7/3"})),
+    "open-with-equal-bounds": ("divisors[0].seshadri", lambda d: seshadri_of(d).update(general_rule="open")),
+    "edited-general-note": ("divisors[0].seshadri", lambda d: seshadri_of(d)["notes"].update(general="x")),
+    "reordered-notes": (
+        "divisors[0].seshadri",
+        lambda d: seshadri_of(d).update(notes=dict(reversed(seshadri_of(d)["notes"].items()))),
+    ),
+    "divisible-without-step": (
+        "assumption.witnesses[0]",
+        lambda d: first_witness(d).update(hn_index=None, subbundle_degree=None),
+    ),
+    "not-divisible-without-step": ("assumption", unmatched_not_divisible),
+    "step-without-degree": ("assumption.witnesses[0]", lambda d: first_witness(d).update(subbundle_degree=None)),
+    "nef-generator-removed": ("cones", lambda d: d["cones"]["nef_generators"].pop()),
+    "nef-coordinates-cut": ("cones", lambda d: d["cones"]["nef_generators"][0].update(nef=[1])),
+}
+REJECTED += [pytest.param(*case, id=name) for name, case in CONTRADICTIONS.items()]
+
+
 class TestRun:
     def test_full_composition(self):
         doc = run(RANK7_B)
@@ -266,6 +302,26 @@ class TestMachineFormat:
         assert excinfo.value.location == location
         assert str(excinfo.value).startswith(location + ": ")
 
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("global-beside-lower", "global does not follow from the other fields"),
+            ("open-with-equal-bounds", "general rule 'open' does not fit bounds 1 and 1"),
+            ("edited-general-note", "notes does not follow from the other fields"),
+            ("divisible-without-step", "divisible does not follow from the other fields"),
+            ("not-divisible-without-step", "failures does not follow from the other fields"),
+            ("step-without-degree", "hn_index and subbundle_degree must be both set or both null"),
+            ("nef-generator-removed", "expected 5 nef generators and 5 coordinates per generator"),
+        ],
+    )
+    def test_contradiction_message(self, name, message):
+        data = json.loads(render_machine(run(RANK7_B)))
+        location, mutate = CONTRADICTIONS[name]
+        mutate(data)
+        with pytest.raises(ParseError) as excinfo:
+            parse_machine(json.dumps(data))
+        assert (excinfo.value.location, excinfo.value.message) == (location, message)
+
     def test_accepted_rational_renders_back(self):
         data = json.loads(render_machine(run(RANK7_B)))
         numerators = ["0", "1", "3", "10", "03", "1\u0660", "\u0663"]
@@ -340,7 +396,7 @@ def rebuilt(value, make):
     if type(value) is tuple:
         return tuple(rebuilt(item, make) for item in value)
     if dataclasses.is_dataclass(value):
-        fields = dataclasses.fields(value)
+        fields = [f for f in dataclasses.fields(value) if f.init]
         return dataclasses.replace(value, **{f.name: rebuilt(getattr(value, f.name), make) for f in fields})
     return value
 
@@ -379,15 +435,15 @@ class TestEmitter:
 
     def test_int_in_fraction_field(self):
         # A caller may build a document with ints where Fractions are typed.
-        summary = SeshadriReport(1, 2, 1, Fraction(1, 2), None, "none", {})
+        summary = SeshadriReport(1, 2, "divisibility_condition")
         assert json.loads(emit(summary)) == {
             "lower": 1,
             "upper": 2,
             "global": 1,
-            "at_section": "1/2",
-            "general": None,
-            "general_rule": "none",
-            "notes": {},
+            "at_section": 1,
+            "general": 2,
+            "general_rule": "divisibility_condition",
+            "notes": summary.notes,
         }
         assert emit(Digest(((1, 2),), 2, 3, True)) == emit(Digest(((1, 2),), Fraction(2), 3, True))
 

@@ -27,6 +27,7 @@ from flagcones import (
 )
 from flagcones.selftest import random_divisibility_model, random_model, random_nef_divisor
 from flagcones.flags import _least
+from flagcones.seshadri import DivisibilityStatus, SeshadriReport, Witness
 
 
 def model_from(degrees, flag):
@@ -173,6 +174,46 @@ class TestGeneralPoint:
     def test_unknown_for_divisibility_failure(self):
         report = full_report(DivisorClass(Basis.NEF, (3, 4, 1)), MODEL_B)
         assert (report.epsilon_general, report.general_rule) == (None, "open")
+
+
+class TestDerivedFields:
+    def test_report_from_bounds_and_rule(self):
+        lower, upper = Fraction(1, 2), Fraction(3)
+        for rule, general in (("divisibility_condition", upper), ("open", None)):
+            report = SeshadriReport(lower, upper, rule)
+            assert report.epsilon_global is lower and report.epsilon_at_section is lower
+            assert report.epsilon_general is general
+            assert list(report.notes) == ["lower", "upper", "global", "at_section", "general"]
+        assert SeshadriReport(upper, upper, "constant_case").epsilon_general is upper
+
+    @pytest.mark.parametrize(
+        "lower, upper, rule",
+        [(1, 1, "open"), (1, 1, "divisibility_condition"), (1, 2, "constant_case"), (1, 2, "none")],
+    )
+    def test_rule_must_fit_bounds(self, lower, upper, rule):
+        with pytest.raises(ValidationError, match="does not fit bounds"):
+            SeshadriReport(lower, upper, rule)
+
+    def test_witness_divisibility(self):
+        assert Witness(1, 4, 2, 8).divisible is True
+        assert Witness(1, 4, 2, 1).divisible is False
+        assert Witness(1, 4, None, None).divisible is None
+
+    @pytest.mark.parametrize("hn_index, degree", [(2, None), (None, 8)])
+    def test_witness_step_needs_both_fields(self, hn_index, degree):
+        with pytest.raises(ValidationError, match="both set or both null"):
+            Witness(1, 4, hn_index, degree)
+
+    def test_witness_flag_rank_positive(self):
+        with pytest.raises(ValidationError, match="flag rank must be >= 1, got 0"):
+            Witness(1, 0, 2, 8)
+
+    def test_status_from_witnesses(self):
+        witnesses = (Witness(1, 4, None, None), Witness(2, 2, 1, 6), Witness(3, 1, 3, 5), Witness(4, 3, 2, 7))
+        status = DivisibilityStatus(witnesses)
+        assert not status.holds
+        assert [(f.index, f.reason) for f in status.failures] == [(1, "no_rank_match"), (4, "not_divisible")]
+        assert DivisibilityStatus(witnesses[1:3]).holds
 
 
 class TestRatio:
