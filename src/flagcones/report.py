@@ -10,6 +10,7 @@ identical configs produce byte-identical output.
 import dataclasses
 import functools
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -18,7 +19,7 @@ from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 from . import seshadri as sesh
 from .bundles import CurveInfo, HNFiltration, split_steps, validate_hn
-from .config import ProblemConfig, _decode_once, load_json, parse_rational
+from .config import ProblemConfig, _decode_once, _require_text, load_json, parse_rational
 from .errors import (
     EXIT_OK,
     FlagconesError,
@@ -277,10 +278,12 @@ def worst_exit_code(doc: ReportDocument) -> int:
 # field names unless a field carries ``metadata={"json": key}``, and one keyed
 # ``None`` (last, with a default) is neither written nor read.  A field with
 # ``init=False`` is derived: written, and on read it must equal the derived value.  A type's
-# ``emit(value, pad, texts)`` writes what ``json.dumps(..., indent=2)`` would,
-# with ``pad`` the newline and indent its value starts on and ``texts`` the
-# rationals written in this document; ``decode(data, memo)`` reads it back,
-# with ``memo`` the rationals decoded from this document.
+# ``emit(value, pad, texts, out)`` appends to ``out`` the pieces of what
+# ``json.dumps(..., indent=2)`` would write, with ``pad`` the newline and
+# indent its value starts on and ``texts`` the rationals and notes written in
+# this document; the pieces are joined once per document.
+# ``decode(data, memo)`` reads it back, with ``memo`` the rationals decoded
+# from this document.
 
 
 def _at(exc: ParseError, step) -> ParseError:
@@ -296,7 +299,7 @@ def _checked(kind: type, value):
     return value
 
 
-def _emit_fraction(value, pad, texts: dict) -> str:
+def _fraction_text(value, texts: dict) -> str:
     """A rational as its integer or as ``"p/q"``, written once per object and
     kept in ``texts`` by ``id`` (``Fraction.__hash__`` costs more than the
     text).  Every value keyed there is reachable from the document being
@@ -309,13 +312,24 @@ def _emit_fraction(value, pad, texts: dict) -> str:
     return text
 
 
-def _emit_fractions(value, pad, texts: dict) -> str:
-    """A ``tuple[Fraction, ...]``: every item is looked up in ``texts`` in one
-    pass, and only the items missing there go through :func:`_emit_fraction`."""
+def _emit_fraction(value, pad, texts: dict, out: list) -> None:
+    out.append(_fraction_text(value, texts))
+
+
+def _emit_fractions(value, pad, texts: dict, out: list) -> None:
+    """A ``tuple[Fraction, ...]``, joined into one piece: every item is looked
+    up in ``texts`` in one pass, and only the items missing there go through
+    :func:`_fraction_text`."""
     found = list(map(texts.get, map(id, value)))
     if None in found:
-        found = [text or _emit_fraction(item, pad, texts) for text, item in zip(found, value)]
-    return _block("[]", found, pad)
+        found = [text or _fraction_text(item, texts) for text, item in zip(found, value)]
+    out.append(_block("[]", found, pad))
+
+
+def _decode_text(value, memo=None) -> str:
+    """A JSON string that UTF-8 can encode, as the config reader requires."""
+    _checked(str, value)
+    return value if value.isascii() else _require_text(value, None)
 
 
 # the JSON text of one value of each other scalar type
@@ -327,14 +341,14 @@ _WRITERS = {
 
 
 def _decode_fraction(token) -> Fraction:
-    """Inverse of :func:`_emit_fraction`: a token is read by
+    """Inverse of :func:`_fraction_text`: a token is read by
     :func:`~flagcones.config.parse_rational` and accepted only if it is what
     the writer writes, so ``"4/2"``, ``" 2/14 "``, ``"+3/5"``, ``"3"`` and
     non-ASCII digits are rejected."""
     if type(token) is int:
         return Fraction(token)
     value = parse_rational(token, None)
-    if _emit_fraction(value, None, {}) == f'"{token}"':
+    if _fraction_text(value, {}) == f'"{token}"':
         return value
     raise ParseError(f'not "p/q" in lowest terms with q > 1: {token!r}')
 
@@ -355,23 +369,31 @@ def _decode_items(value, decoders, size: Optional[int], memo: dict) -> tuple:
         raise
 
 
-def _decode_notes(value) -> dict[str, str]:
+def _decode_notes(value, memo=None) -> dict[str, str]:
     for key, text in _checked(dict, value).items():
-        try:
-            _checked(str, text)
-        except ParseError as exc:
-            raise _at(exc, key) from None
+        if type(text) is not str or not (key.isascii() and text.isascii()):
+            _decode_text(key)
+            try:
+                _decode_text(text)
+            except ParseError as exc:
+                raise _at(exc, key) from None
     return value
 
 
-def _emit_notes(value: dict[str, str], pad: str, texts: dict) -> str:
-    text = encode_basestring_ascii
-    return _block("{}", [f"{text(key)}: {text(note)}" for key, note in value.items()], pad)
+def _emit_notes(value: Mapping[str, str], pad: str, texts: dict, out: list) -> None:
+    """A notes mapping as one piece, written once per object and indent: the
+    notes of a :class:`~flagcones.seshadri.SeshadriReport` are one mapping per
+    rule, so a document writes each block once."""
+    key = (id(value), pad)
+    if (text := texts.get(key)) is None:
+        write = encode_basestring_ascii
+        text = texts[key] = _block("{}", [f"{write(k)}: {write(v)}" for k, v in value.items()], pad)
+    out.append(text)
 
 
 def _block(brackets: str, items: list[str], pad: str) -> str:
-    """``items`` one per line, indented one step further than ``pad``; the
-    brackets go onto the end items, so each level allocates its text once."""
+    """``items`` one per line, indented one step further than ``pad``, in one
+    join; the brackets go onto the end items."""
     if not items:
         return brackets
     inner = pad + "  "
@@ -380,26 +402,39 @@ def _block(brackets: str, items: list[str], pad: str) -> str:
     return ("," + inner).join(items)
 
 
+@functools.cache
+def _layout(pad: str, brackets: str, keys: tuple[str, ...]) -> tuple[str, tuple[str, ...], str]:
+    """The indent of the items one step inside ``pad``, the head piece of each
+    item (its separator, indent and key) and the closing piece; made once per
+    indent, so every occurrence is one shared string."""
+    inner = pad + "  "
+    heads = (brackets[0] + inner + keys[0], *("," + inner + key for key in keys[1:]))
+    return inner, heads, pad + brackets[1]
+
+
 def _record(cls):
     hints = get_type_hints(cls)
     keyed = [(f.metadata.get("json", f.name), f) for f in dataclasses.fields(cls)]
     fields = [(key, f, *_codec(hints[f.name])) for key, f in keyed if key is not None]
     keys = {key for key, *_ in fields}
-    writers = [(encode_basestring_ascii(key) + ": ", f.name, enc) for key, f, enc, _ in fields]
+    heads = tuple(encode_basestring_ascii(key) + ": " for key, *_ in fields)
+    writers = [(f.name, enc) for _, f, enc, _ in fields]
     given = [i for i, (_, f, *_) in enumerate(fields) if f.init]
     derived = [(i, key, f.name) for i, (key, f, *_) in enumerate(fields) if not f.init]
 
-    def emit(value, pad, texts):
-        inner = pad + "  "
-        items = [key + write(getattr(value, name), inner, texts) for key, name, write in writers]
-        return _block("{}", items, pad)
+    def emit(value, pad, texts, out):
+        inner, items, close = _layout(pad, "{}", heads)
+        for head, (name, write) in zip(items, writers):
+            out.append(head)
+            write(getattr(value, name), inner, texts, out)
+        out.append(close)
 
     def decode(value, memo):
         if _checked(dict, value).keys() != keys:
             missing = [key for key, *_ in fields if key not in value]
             if missing:
                 raise ParseError("missing key", f".{missing[0]}")
-            raise ParseError("unknown key", f".{min(value.keys() - keys)}")
+            raise ParseError("unknown key", f".{_decode_text(min(value.keys() - keys))}")
         items = []
         try:
             for key, _, _, dec in fields:
@@ -411,8 +446,8 @@ def _record(cls):
         except ValidationError as exc:
             raise ParseError(str(exc)) from None
         for i, key, name in derived:
-            read, own = items[i], getattr(record, name)  # a dict must match in key order too
-            if read is not own and (read != own or type(own) is dict and list(read) != list(own)):
+            read, own = items[i], getattr(record, name)  # a mapping must match in key order too
+            if read is not own and (read != own or type(read) is dict and list(read) != list(own)):
                 raise ParseError(f"{key} does not follow from the other fields")
         return record
 
@@ -424,24 +459,28 @@ def _codec(tp):
     """``(emit, decode)`` for one document type, compiled once.
 
     Supported: ``Fraction``, ``int``, ``str``, ``bool``, dataclasses,
-    ``Optional[X]``, ``tuple[X, ...]``, ``dict[str, str]`` and fixed tuples.
+    ``Optional[X]``, ``tuple[X, ...]``, ``dict[str, str]`` or
+    ``Mapping[str, str]``, and fixed tuples.
     """
     if tp is Fraction:
         return _emit_fraction, _decode_once(_decode_fraction)
     if tp in _WRITERS:
         write = _WRITERS[tp]
-        return (lambda value, pad, texts: write(value)), lambda value, memo: _checked(tp, value)
+        decode = _decode_text if tp is str else lambda value, memo: _checked(tp, value)
+        return (lambda value, pad, texts, out: out.append(write(value))), decode
     if dataclasses.is_dataclass(tp):
         return _record(tp)
     origin, args = get_origin(tp), get_args(tp)
     if origin in (Union, UnionType):
         emit, decode = _codec(args[0])
         return (
-            lambda value, pad, texts: "null" if value is None else emit(value, pad, texts),
+            lambda value, pad, texts, out: (
+                out.append("null") if value is None else emit(value, pad, texts, out)
+            ),
             lambda value, memo: None if value is None else decode(value, memo),
         )
-    if origin is dict:
-        return _emit_notes, lambda value, memo: _decode_notes(value)
+    if origin in (dict, Mapping):
+        return _emit_notes, _decode_notes
     variadic = args[-1] is Ellipsis
     items = args[:1] if variadic else args
     emitters, decoders = zip(*map(_codec, items))
@@ -449,19 +488,32 @@ def _codec(tp):
         emitters, decoders = itertools.repeat(emitters[0]), itertools.repeat(decoders[0])
     size = None if variadic else len(args)
 
-    def emit(value, pad, texts):
-        inner = pad + "  "
-        return _block("[]", [write(item, inner, texts) for write, item in zip(emitters, value)], pad)
+    def emit(value, pad, texts, out):
+        if not value:
+            out.append("[]")
+            return
+        inner, (head, sep), close = _layout(pad, "[]", ("", ""))
+        for write, item in zip(emitters, value):
+            out.append(head)
+            write(item, inner, texts, out)
+            head = sep
+        out.append(close)
 
     if variadic and items == (Fraction,):
         emit = _emit_fractions
     return emit, lambda value, memo: _decode_items(value, decoders, size, memo)
 
 
+def _write(value, tp, out: list) -> list:
+    """``out`` with the pieces of ``value``, a document of type ``tp``, appended."""
+    _codec(tp)[0](value, "\n", {}, out)
+    return out
+
+
 def emit(value, tp=None) -> str:
     """What ``json.dumps(data, indent=2)`` writes for ``data`` the JSON form of
     ``value``, a document of type ``tp`` (default ``type(value)``)."""
-    return _codec(tp or type(value))[0](value, "\n", {})
+    return "".join(_write(value, tp or type(value), []))
 
 
 def from_json(cls, data):
@@ -474,8 +526,10 @@ def from_json(cls, data):
 
 
 def render_machine(doc: ReportDocument) -> str:
-    """Deterministic JSON rendering of a report document."""
-    return emit(doc) + "\n"
+    """Deterministic JSON rendering of a report document, joined once."""
+    out = _write(doc, ReportDocument, [])
+    out.append("\n")
+    return "".join(out)
 
 
 def parse_machine(text: str) -> ReportDocument:
@@ -602,4 +656,5 @@ def render_human(doc: ReportDocument) -> str:
         lines.append("divisors" if doc.divisors else "divisors: (none)")
         for entry in doc.divisors:
             lines.extend(_render_divisor(entry))
-    return "\n".join(lines) + "\n"
+    lines.append("")
+    return "\n".join(lines)

@@ -14,8 +14,10 @@ unknown.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Optional
 
 from .errors import (
@@ -34,7 +36,8 @@ RULE_CONSTANT = "constant_case"
 RULE_DIVISIBILITY = "divisibility_condition"
 RULE_OPEN = "open"
 
-# the notes of every report, in the order written; ``general`` comes last
+# the notes of each rule, in the order written, with ``general`` last: one
+# read-only mapping per rule, shared by every report of that rule
 _NOTES = {
     "lower": (
         "lower bound min(a_1..a_g, b): fiber curves give at least min(a), "
@@ -50,7 +53,6 @@ _NOTES = {
         "moved lines realize the a_i"
     ),
 }
-# the ``general`` note of each rule
 _GENERAL_NOTES = {
     RULE_CONSTANT: "b >= min(a_1..a_g), so the value is min(a_1..a_g) at every point",
     RULE_DIVISIBILITY: (
@@ -61,6 +63,9 @@ _GENERAL_NOTES = {
         "whether the very-general value still equals min(a_1..a_g) is open, "
         "only the two-sided bounds are known"
     ),
+}
+_RULE_NOTES = {
+    rule: MappingProxyType({**_NOTES, "general": general}) for rule, general in _GENERAL_NOTES.items()
 }
 
 
@@ -221,7 +226,8 @@ class SeshadriReport:
     The bounds and the rule fix the rest: the global value and the value
     at a section point are ``lower`` itself, the very-general value is
     ``upper`` unless the rule is ``"open"`` (then ``None``; the bounds say
-    everything that is known), and the notes follow from the rule.
+    everything that is known), and the notes are the read-only mapping of
+    the rule, one object shared by every report of that rule.
     """
 
     lower: Fraction
@@ -230,19 +236,24 @@ class SeshadriReport:
     epsilon_at_section: Fraction = field(init=False, metadata={"json": "at_section"})
     epsilon_general: Optional[Fraction] = field(init=False, metadata={"json": "general"})
     general_rule: str
-    notes: dict[str, str] = field(init=False)
+    notes: Mapping[str, str] = field(init=False)
     divisor: Optional[DivisorClass] = field(default=None, compare=False, metadata={"json": None})
 
     def __post_init__(self):
         lower, upper, rule = self.lower, self.upper, self.general_rule
         if lower > upper:
             raise ValidationError(f"lower bound {lower} exceeds upper bound {upper}")
-        if rule not in _GENERAL_NOTES or (rule == RULE_CONSTANT) != (lower == upper):
+        if rule not in _RULE_NOTES or (rule == RULE_CONSTANT) != (lower == upper):
             raise ValidationError(f"general rule {rule!r} does not fit bounds {lower} and {upper}")
         object.__setattr__(self, "epsilon_global", lower)
         object.__setattr__(self, "epsilon_at_section", lower)
         object.__setattr__(self, "epsilon_general", None if rule == RULE_OPEN else upper)
-        object.__setattr__(self, "notes", {**_NOTES, "general": _GENERAL_NOTES[rule]})
+        object.__setattr__(self, "notes", _RULE_NOTES[rule])
+
+    def __reduce__(self):
+        # a copy or an unpickled report derives its fields again, so it shares
+        # the rule's notes, which cannot be pickled themselves
+        return SeshadriReport, (self.lower, self.upper, self.general_rule, self.divisor)
 
 
 def full_report(

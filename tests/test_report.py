@@ -126,6 +126,18 @@ CONTRADICTIONS = {
 }
 REJECTED += [pytest.param(*case, id=name) for name, case in CONTRADICTIONS.items()]
 
+# Strings UTF-8 cannot encode, which render_human would pass on to its output.
+LONE_SURROGATES = {
+    "divisors[0].name": lambda d: d["divisors"][0].update(name="\ud800"),
+    "model.curve.label": lambda d: d["model"]["curve"].update(label="X\udfff"),
+    "divisors[0].seshadri.notes.general": lambda d: seshadri_of(d)["notes"].update(general="\ud800"),
+    "divisors[0].seshadri.notes": lambda d: seshadri_of(d).update(notes={"\ud800": "x"}),
+    "divisors[0]": lambda d: d["divisors"][0].update({"\ud800": 1}),
+}
+REJECTED += [
+    pytest.param(location, mutate, id=f"surrogate-{location}") for location, mutate in LONE_SURROGATES.items()
+]
+
 
 class TestRun:
     def test_full_composition(self):
@@ -321,6 +333,13 @@ class TestMachineFormat:
         with pytest.raises(ParseError) as excinfo:
             parse_machine(json.dumps(data))
         assert (excinfo.value.location, excinfo.value.message) == (location, message)
+
+    def test_lone_surrogate_message(self):
+        data = json.loads(render_machine(run(RANK7_B)))
+        LONE_SURROGATES["divisors[0].name"](data)
+        with pytest.raises(ParseError) as excinfo:
+            parse_machine(json.dumps(data))
+        assert str(excinfo.value) == "divisors[0].name: lone surrogate '\\ud800' is not UTF-8"
 
     def test_accepted_rational_renders_back(self):
         data = json.loads(render_machine(run(RANK7_B)))

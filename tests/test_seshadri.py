@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -185,6 +187,18 @@ class TestDerivedFields:
             assert report.epsilon_general is general
             assert list(report.notes) == ["lower", "upper", "global", "at_section", "general"]
         assert SeshadriReport(upper, upper, "constant_case").epsilon_general is upper
+
+    def test_notes_shared_per_rule(self):
+        first = full_report(DivisorClass(Basis.NEF, (3, 4, 1)), MODEL_B)
+        second = SeshadriReport(Fraction(1, 2), Fraction(3), "open")
+        assert first.general_rule == second.general_rule == "open"
+        assert first.notes is second.notes
+        assert SeshadriReport(1, 2, "divisibility_condition").notes is not first.notes
+        with pytest.raises(TypeError):
+            first.notes["general"] = "x"
+        for copied in (copy.deepcopy(first), pickle.loads(pickle.dumps(first))):
+            assert copied == first and copied.notes is first.notes
+            assert copied.divisor == first.divisor
 
     @pytest.mark.parametrize(
         "lower, upper, rule",

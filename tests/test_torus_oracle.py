@@ -151,3 +151,45 @@ def test_torus_oracle(seed):
             assert report.lower == report.epsilon_at_section == at_point, (degrees, flag, coords)
             assert report.upper == min(degree(curve, coords) for curve in lines)
     assert all(verdicts.values()), verdicts
+
+
+def toric_problem(rng):
+    """Degrees (n <= 6) and a flag of one quotient rank, 1 or n - 1, from their
+    profile: rank 1 is there when the smallest degree is unique, n - 1 when
+    the largest is."""
+    while True:
+        degrees = [rng.randint(-4, 6) for _ in range(rng.randint(2, 6))]
+        ordered = sorted(degrees)
+        ranks = [1] * (ordered[0] < ordered[1]) + [len(degrees) - 1] * (ordered[-2] < ordered[-1])
+        if ranks:
+            return degrees, [rng.choice(ranks)]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_toric_fixed_points(seed):
+    """(d) With gamma = 1 and r_1 in {1, n - 1}, Fl(E) is a projective bundle
+    over P^1, a smooth toric variety.  For ample L the Seshadri constant at a
+    torus-fixed point is the least L . C over the invariant curves through it
+    (S. Di Rocco, Math. Z. 231, 1999), so that least value lies in
+    [lower, upper].  The fixed points over 0 and over infinity with the same
+    coordinate flag have the same curves through them, so each flag is
+    checked once."""
+    rng = random.Random(seed)
+    checked = 0
+    for _ in range(MODELS_PER_SEED):
+        degrees, flag = toric_problem(rng)
+        n = len(degrees)
+        model = build_model(hn_filtration(SplitBundle(tuple(degrees))), flag)
+        points = flags_of(n, [n - flag[0]])
+        through = [[section_curve(degrees, s), *fiber_curves(n, s)] for s in points]
+        for _ in range(CLASSES_PER_MODEL):
+            coords = random_pluecker(rng, degrees, flag)
+            # every invariant curve passes through a fixed point
+            if min(degree(curve, coords) for curves in through for curve in curves) <= 0:
+                continue
+            report = full_report(DivisorClass(Basis.PLUECKER, coords), model)
+            for flag_sets, curves in zip(points, through):
+                value = min(degree(curve, coords) for curve in curves)
+                assert report.lower <= value <= report.upper, (degrees, flag, coords, flag_sets)
+                checked += 1
+    assert checked
