@@ -24,6 +24,7 @@ from .errors import (
     EXIT_OK,
     FlagconesError,
     InternalCheckFailure,
+    NotNef,
     ParseError,
     ValidationError,
     exit_code_for,
@@ -33,7 +34,8 @@ from .flags import (
     DivisorClass,
     FlagModel,
     build_model,
-    classify_divisor,
+    Positivity,
+    _positivity,
     curve_generators,
     pairing_matrix,
     quotient_ranks,
@@ -51,25 +53,56 @@ DIMENSION_NOTE = (
 
 @dataclass(frozen=True)
 class ModelSummary:
-    """Bundle, filtration and flag data; flag fields are None when only
-    the filtration was requested."""
+    """Bundle, filtration and flag data.
+
+    The free facts are the curve, the steps, the slopes, the quotient
+    ranks and the four flag fields, which are all set or, when only the
+    filtration was requested, all None.  The rest is derived: rank and
+    degree are those of the last step, one step means semistable, and a
+    flag gives the subspace dimensions ``rank - r``, the Picard rank
+    ``gamma + 1``, the total dimension (fiber plus one) and the dimensions
+    note; without a flag these are None and there are no notes.
+    """
 
     curve: CurveInfo
     hn_steps: tuple[tuple[int, int], ...]
-    rank: int
-    degree: int
+    rank: int = field(init=False)
+    degree: int = field(init=False)
     slope: Fraction
-    semistable: bool
+    semistable: bool = field(init=False)
     quotient_slopes: tuple[Fraction, ...]
     quotient_ranks: tuple[int, ...]
     flag_ranks: Optional[tuple[int, ...]] = None
     hn_indices: Optional[tuple[int, ...]] = None
-    subspace_dims: Optional[tuple[int, ...]] = None
+    subspace_dims: Optional[tuple[int, ...]] = field(init=False)
     quotient_degrees: Optional[tuple[int, ...]] = None
-    picard_rank: Optional[int] = None
+    picard_rank: Optional[int] = field(init=False)
     fiber_dimension: Optional[int] = None
-    total_dimension: Optional[int] = None
-    notes: dict[str, str] = field(default_factory=dict)
+    total_dimension: Optional[int] = field(init=False)
+    notes: dict[str, str] = field(init=False)
+
+    def __post_init__(self):
+        if not self.hn_steps:
+            raise ValidationError("a filtration needs at least one step")
+        rank, degree = self.hn_steps[-1]
+        ranks, fiber = self.flag_ranks, self.fiber_dimension
+        if (ranks, self.hn_indices, self.quotient_degrees, fiber).count(None) not in (0, 4):
+            raise ValidationError(
+                "flag_ranks, hn_indices, quotient_degrees and fiber_dimension "
+                "must be all set or all null"
+            )
+        flagged = ranks is not None
+        derived = {
+            "rank": rank,
+            "degree": degree,
+            "semistable": len(self.hn_steps) == 1,
+            "subspace_dims": tuple([rank - r for r in ranks]) if flagged else None,
+            "picard_rank": len(ranks) + 1 if flagged else None,
+            "total_dimension": fiber + 1 if flagged else None,
+            "notes": {"dimensions": DIMENSION_NOTE} if flagged else {},
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -122,27 +155,72 @@ class ErrorInfo:
     message: str
 
 
+_NEF, _NOT_NEF = Basis.NEF.value, Positivity.NOT_NEF.value
+
+
 @dataclass(frozen=True)
 class DivisorEntry:
     """Per-divisor result; ``error`` is set instead of ``seshadri`` when
-    the class could not be evaluated, and the input is echoed back."""
+    the class could not be evaluated, and the input is echoed back.
+
+    ``classification`` is derived: None without ``nef_coords``, ``not_nef``
+    without a Seshadri record, else the position of its lower bound, the
+    least nef-basis coordinate.  ``nef_coords`` repeats ``coords`` but for
+    a pluecker class's last coordinate, which needs the model's twist.
+    """
 
     name: str
     basis: str
     coords: tuple[Fraction, ...]
     nef_coords: Optional[tuple[Fraction, ...]]
-    classification: Optional[str]
+    classification: Optional[str] = field(init=False)
     seshadri: Optional[sesh.SeshadriReport]
     error: Optional[ErrorInfo]
+
+    def __post_init__(self):
+        coords, nef, report, error = self.coords, self.nef_coords, self.seshadri, self.error
+        if (report is None) == (error is None):
+            raise ValidationError("exactly one of seshadri and error must be set")
+        classification = None
+        if nef is not None:
+            if self.basis == _NEF:
+                follows = nef == coords
+            else:  # the last coordinate needs the model's twist
+                follows = len(nef) == len(coords) and nef[:-1] == coords[:-1]
+            if not follows:
+                raise ValidationError(f"nef_coords do not follow from {self.basis} coords")
+            classification = _NOT_NEF if report is None else _positivity(report.lower).value
+        object.__setattr__(self, "classification", classification)
+        if report is None:
+            if (error.type == NotNef.__name__) != (nef is not None):
+                raise ValidationError("a NotNef error goes with nef_coords and only with them")
+        elif classification in (None, _NOT_NEF):
+            raise ValidationError("a seshadri record needs a nef class")
 
 
 @dataclass(frozen=True)
 class ReportDocument:
+    """A machine document.  The sections must agree with the model: the
+    witnesses are those of its flag ranks and filtration steps, and the
+    cones have one curve generator per Picard rank."""
+
     spec_version: int
     model: ModelSummary
     cones: Optional[ConesSection] = None
     assumption: Optional[sesh.DivisibilityStatus] = None
     divisors: Optional[tuple[DivisorEntry, ...]] = None
+
+    def __post_init__(self):
+        model = self.model
+        if self.cones is not None and len(self.cones.curve_generators) != model.picard_rank:
+            raise ValidationError(
+                f"{len(self.cones.curve_generators)} curve generators for picard rank "
+                f"{model.picard_rank}"
+            )
+        if self.assumption is not None:
+            expected = sesh.divisibility_witnesses(model.hn_steps, model.flag_ranks or ())
+            if self.assumption.witnesses != expected:
+                raise ValidationError("assumption witnesses do not follow from the model")
 
 
 # ---------------------------------------------------------------------------
@@ -180,28 +258,16 @@ def assert_duality(model: FlagModel) -> ConesSection:
 def _model_summary(
     config: ProblemConfig, hn: HNFiltration, model: Optional[FlagModel]
 ) -> ModelSummary:
-    flag_fields = {}
+    flag = ()
     if model is not None:
-        flag_fields = dict(
-            flag_ranks=model.spec.quotient_ranks,
-            hn_indices=model.spec.hn_indices,
-            subspace_dims=model.spec.subspace_dims,
-            quotient_degrees=model.quotient_degrees,
-            picard_rank=model.picard_rank,
-            fiber_dimension=model.fiber_dimension,
-            total_dimension=model.total_dimension,
-            notes={"dimensions": DIMENSION_NOTE},
+        flag = (
+            model.spec.quotient_ranks,
+            model.spec.hn_indices,
+            model.quotient_degrees,
+            model.fiber_dimension,
         )
     return ModelSummary(
-        curve=config.curve,
-        hn_steps=hn.step_pairs(),
-        rank=hn.n,
-        degree=hn.degree,
-        slope=hn.slope,
-        semistable=hn.is_semistable,
-        quotient_slopes=hn.quotient_slopes(),
-        quotient_ranks=quotient_ranks(hn),
-        **flag_fields,
+        config.curve, hn.step_pairs(), hn.slope, hn.quotient_slopes(), quotient_ranks(hn), *flag
     )
 
 
@@ -209,23 +275,15 @@ def _divisor_entry(
     divisor: DivisorClass, model: FlagModel, status: sesh.DivisibilityStatus
 ) -> DivisorEntry:
     """Evaluate one divisor; the fields reached before a failure are kept."""
-    nef_coords = classification = report = error = None
+    nef_coords = report = error = None
     try:
         converted = to_nef(divisor, model)
         nef_coords = converted.coords
-        classification = classify_divisor(converted, model).value
         report = sesh.full_report(converted, model, status)
     except FlagconesError as exc:
         error = ErrorInfo(type(exc).__name__, str(exc))
-    return DivisorEntry(
-        name=divisor.name,
-        basis=divisor.basis.value,
-        coords=divisor.coords,
-        nef_coords=nef_coords,
-        classification=classification,
-        seshadri=report,
-        error=error,
-    )
+    basis = divisor.basis.value
+    return DivisorEntry(divisor.name, basis, divisor.coords, nef_coords, report, error)
 
 
 def run_hn(config: ProblemConfig) -> ReportDocument:

@@ -139,9 +139,16 @@ def check_divisibility(model: FlagModel) -> DivisibilityStatus:
     >>> status.holds, [failure.reason for failure in status.failures]
     (False, ['no_rank_match', 'no_rank_match'])
     """
-    steps = {step.rank: (c, step.degree) for c, step in enumerate(model.hn.steps, start=1)}
-    ranks = enumerate(model.spec.quotient_ranks, start=1)
-    return DivisibilityStatus(tuple(Witness(i, r, *steps.get(r, (None, None))) for i, r in ranks))
+    witnesses = divisibility_witnesses(model.hn.step_pairs(), model.spec.quotient_ranks)
+    return DivisibilityStatus(witnesses)
+
+
+def divisibility_witnesses(steps, flag_ranks) -> tuple[Witness, ...]:
+    """One witness per flag rank, from the filtration's ``(rank, degree)``
+    steps: the 1-based step of that rank and its degree, if there is one."""
+    found = {rank: (c, degree) for c, (rank, degree) in enumerate(steps, start=1)}
+    ranks = enumerate(flag_ranks, start=1)
+    return tuple(Witness(i, r, *found.get(r, (None, None))) for i, r in ranks)
 
 
 def seshadri_bounds(

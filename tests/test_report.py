@@ -1,7 +1,10 @@
+import copy
 import dataclasses
 import itertools
 import json
+import pickle
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -126,6 +129,63 @@ CONTRADICTIONS = {
 }
 REJECTED += [pytest.param(*case, id=name) for name, case in CONTRADICTIONS.items()]
 
+
+def without_flag_but_fiber(d):
+    # every flag field null as in a filtration-only model, but fiber_dimension
+    d["model"].update(
+        flag_ranks=None,
+        hn_indices=None,
+        subspace_dims=None,
+        quotient_degrees=None,
+        picard_rank=None,
+        total_dimension=None,
+        notes={},
+    )
+
+
+def cones_one_size_smaller(d):
+    # a 4 x 4 cones section, consistent in itself, beside picard rank 5
+    cones = d["cones"]
+    for key in ("nef_generators", "curve_generators"):
+        cones[key].pop()
+    for generator in cones["nef_generators"]:
+        generator.update(nef=generator["nef"][:-1], pluecker=generator["pluecker"][:-1])
+    for generator in cones["curve_generators"]:
+        generator.update(coords=generator["coords"][:-1])
+    cones["pairing_matrix"] = [row[:-1] for row in cones["pairing_matrix"][:-1]]
+
+
+def below_zero(d):
+    # a consistent seshadri record whose lower bound is not nef
+    record = json.loads(emit(SeshadriReport(Fraction(-1), Fraction(1), "divisibility_condition")))
+    d["divisors"][0]["seshadri"] = record
+
+
+# Well-typed documents that contradict what the model section and the divisor
+# entries derive, or the sections each other.  RANK7_B's only divisor is the
+# ample nef-basis class L, and its flag ranks are (6, 5, 2, 1).
+DERIVED = {
+    "model-rank": ("model", lambda d: d["model"].update(rank=9)),
+    "model-degree": ("model", lambda d: d["model"].update(degree=2)),
+    "model-semistable": ("model", lambda d: d["model"].update(semistable=True)),
+    "model-subspace-dims": ("model", lambda d: d["model"]["subspace_dims"].__setitem__(0, 2)),
+    "model-picard-rank": ("model", lambda d: d["model"].update(picard_rank=4)),
+    "model-total-dimension": ("model", lambda d: d["model"].update(total_dimension=1)),
+    "model-note-edited": ("model", lambda d: d["model"]["notes"].update(dimensions="x")),
+    "model-note-added": ("model", lambda d: d["model"]["notes"].update(extra="x")),
+    "model-note-emptied": ("model", lambda d: d["model"].update(notes={})),
+    "fiber-without-flag": ("model", without_flag_but_fiber),
+    "model-without-steps": ("model", lambda d: d["model"].update(hn_steps=[])),
+    "classification-flipped": ("divisors[0]", lambda d: d["divisors"][0].update(classification="not_nef")),
+    "nef-coordinate-edited": ("divisors[0]", lambda d: d["divisors"][0]["nef_coords"].__setitem__(0, 7)),
+    "last-nef-coordinate-edited": ("divisors[0]", lambda d: d["divisors"][0]["nef_coords"].__setitem__(-1, 7)),
+    "seshadri-and-error-null": ("divisors[0]", lambda d: d["divisors"][0].update(seshadri=None)),
+    "seshadri-below-zero": ("divisors[0]", below_zero),
+    "witness-off-the-flag": ("document", lambda d: first_witness(d).update(index=7, flag_rank=3)),
+    "cones-off-the-picard-rank": ("document", cones_one_size_smaller),
+}
+REJECTED += [pytest.param(*case, id=name) for name, case in DERIVED.items()]
+
 # Strings UTF-8 cannot encode, which render_human would pass on to its output.
 LONE_SURROGATES = {
     "divisors[0].name": lambda d: d["divisors"][0].update(name="\ud800"),
@@ -137,6 +197,27 @@ LONE_SURROGATES = {
 REJECTED += [
     pytest.param(location, mutate, id=f"surrogate-{location}") for location, mutate in LONE_SURROGATES.items()
 ]
+
+
+# One class of each kind of entry: a pluecker class, one that is not nef,
+# and one with a coordinate too few.
+MIXED = config_for(
+    (1, 2, 0, 0, 0),
+    (4, 3),
+    divisors=(
+        DivisorClass(Basis.PLUECKER, (3, 4, 1), name="p"),
+        DivisorClass(Basis.NEF, (-1, 0, 0), name="bad"),
+        DivisorClass(Basis.NEF, (1, 1), name="short"),
+    ),
+)
+
+ENTRY_CONTRADICTIONS = {
+    "pluecker-nef-coordinate-edited": (0, lambda e: e["nef_coords"].__setitem__(0, 7)),
+    "pluecker-nef-coordinate-added": (0, lambda e: e["nef_coords"].append(7)),
+    "not-nef-without-not-nef-error": (1, lambda e: e["error"].update(type="ValidationError")),
+    "not-nef-error-without-nef-coords": (2, lambda e: e["error"].update(type="NotNef")),
+    "nef-coords-beside-a-count-error": (2, lambda e: e.update(nef_coords=e["coords"])),
+}
 
 
 class TestRun:
@@ -214,6 +295,35 @@ class TestRun:
         model = model_from_config(config)
         full_report(nef[0], model)
         assert len(scans) == 2
+
+    def test_classification_without_classify_divisor(self, monkeypatch):
+        import flagcones.flags as flags_module
+
+        classify = flags_module.classify_divisor
+        calls = []
+
+        def counted(divisor, model):
+            calls.append(divisor)
+            return classify(divisor, model)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("flagcones") and getattr(module, "classify_divisor", None) is classify:
+                monkeypatch.setattr(module, "classify_divisor", counted)
+        edge = DivisorClass(Basis.NEF, (0, 1, 1), name="edge")
+        config = dataclasses.replace(MIXED, divisors=(*MIXED.divisors, edge))
+        doc = run(config)
+        assert calls == []
+        model = model_from_config(config)
+        expected = [classify(d, model).value if len(d.coords) == 3 else None for d in config.divisors]
+        assert [e.classification for e in doc.divisors] == expected
+        assert set(expected) == {"ample", "nef_not_ample", "not_nef", None}
+
+    @pytest.mark.parametrize("copy_document", [copy.deepcopy, lambda doc: pickle.loads(pickle.dumps(doc))])
+    def test_document_copies_are_equal(self, copy_document):
+        for doc in (run(RANK7_B), run(MIXED), run_cones(MIXED), run_hn(MIXED)):
+            copied = copy_document(doc)
+            assert copied == doc
+            assert render_machine(copied) == render_machine(doc)
 
     def test_assumption_is_the_scan(self):
         for config in (
@@ -324,15 +434,34 @@ class TestMachineFormat:
             ("not-divisible-without-step", "failures does not follow from the other fields"),
             ("step-without-degree", "hn_index and subbundle_degree must be both set or both null"),
             ("nef-generator-removed", "expected 5 nef generators and 5 coordinates per generator"),
+            ("model-rank", "rank does not follow from the other fields"),
+            (
+                "fiber-without-flag",
+                "flag_ranks, hn_indices, quotient_degrees and fiber_dimension must be all set or all null",
+            ),
+            ("classification-flipped", "classification does not follow from the other fields"),
+            ("last-nef-coordinate-edited", "nef_coords do not follow from nef coords"),
+            ("seshadri-and-error-null", "exactly one of seshadri and error must be set"),
+            ("seshadri-below-zero", "a seshadri record needs a nef class"),
+            ("witness-off-the-flag", "assumption witnesses do not follow from the model"),
+            ("cones-off-the-picard-rank", "4 curve generators for picard rank 5"),
         ],
     )
     def test_contradiction_message(self, name, message):
         data = json.loads(render_machine(run(RANK7_B)))
-        location, mutate = CONTRADICTIONS[name]
+        location, mutate = {**CONTRADICTIONS, **DERIVED}[name]
         mutate(data)
         with pytest.raises(ParseError) as excinfo:
             parse_machine(json.dumps(data))
         assert (excinfo.value.location, excinfo.value.message) == (location, message)
+
+    @pytest.mark.parametrize("index, mutate", ENTRY_CONTRADICTIONS.values(), ids=list(ENTRY_CONTRADICTIONS))
+    def test_entry_contradiction_rejected(self, index, mutate):
+        data = json.loads(render_machine(run(MIXED)))
+        mutate(data["divisors"][index])
+        with pytest.raises(ParseError) as excinfo:
+            parse_machine(json.dumps(data))
+        assert excinfo.value.location == f"divisors[{index}]"
 
     def test_lone_surrogate_message(self):
         data = json.loads(render_machine(run(RANK7_B)))
