@@ -14,7 +14,6 @@ from .bundles import (
     DEFAULT_ORACLE_CAP,
     CurveInfo,
     HNFiltration,
-    HNStep,
     SplitBundle,
     hn_brute_force_oracle,
     hn_filtration,
@@ -45,7 +44,6 @@ from .flags import (
     CurveClass,
     DivisorClass,
     FlagModel,
-    FlagSpec,
     Positivity,
     build_model,
     classify_divisor,

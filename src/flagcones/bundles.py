@@ -83,27 +83,20 @@ class SplitBundle:
 
 
 @dataclass(frozen=True)
-class HNStep:
-    """Cumulative (rank, degree) of one subbundle in the filtration."""
-
-    rank: int
-    degree: int
-
-
-@dataclass(frozen=True)
 class HNFiltration:
-    """Harder-Narasimhan filtration as cumulative ``(rank, degree)`` steps.
+    """Harder-Narasimhan filtration as cumulative ``(rank, degree)`` steps,
+    one int pair per subbundle.
 
     Construction validates the two defining conditions: ranks strictly
     increase, and the slopes of the successive quotients strictly
     decrease.  Length 1 means the bundle is semistable; that is legal
     here and rejected only where a non-semistable bundle is required.
 
-    >>> HNFiltration((HNStep(1, 2), HNStep(2, 3), HNStep(5, 3))).quotient_slopes()
+    >>> HNFiltration(((1, 2), (2, 3), (5, 3))).quotient_slopes()
     (Fraction(2, 1), Fraction(1, 1), Fraction(0, 1))
     """
 
-    steps: tuple[HNStep, ...]
+    steps: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
         steps = tuple(self.steps)
@@ -113,28 +106,28 @@ class HNFiltration:
         previous_rank = 0
         previous_degree = 0
         previous_slope: Fraction | None = None
-        for j, step in enumerate(steps, start=1):
-            _check_int(step.rank, "step rank")
-            _check_int(step.degree, "step degree")
-            if step.rank <= previous_rank:
+        for j, (rank, degree) in enumerate(steps, start=1):
+            _check_int(rank, "step rank")
+            _check_int(degree, "step degree")
+            if rank <= previous_rank:
                 raise NonIncreasingRank(
                     j,
-                    f"step {j}: rank {step.rank} does not exceed "
+                    f"step {j}: rank {rank} does not exceed "
                     f"previous rank {previous_rank}",
                 )
-            current = Fraction(step.degree - previous_degree, step.rank - previous_rank)
+            current = Fraction(degree - previous_degree, rank - previous_rank)
             if previous_slope is not None and current >= previous_slope:
                 raise NonDecreasingSlope(
                     j,
                     f"step {j}: quotient slope {current} is not below "
                     f"previous quotient slope {previous_slope}",
                 )
-            previous_rank, previous_degree, previous_slope = step.rank, step.degree, current
+            previous_rank, previous_degree, previous_slope = rank, degree, current
 
     @property
     def n(self) -> int:
         """Rank of the full bundle."""
-        return self.steps[-1].rank
+        return self.steps[-1][0]
 
     @property
     def d(self) -> int:
@@ -144,7 +137,7 @@ class HNFiltration:
     @property
     def degree(self) -> int:
         """Degree of the full bundle."""
-        return self.steps[-1].degree
+        return self.steps[-1][1]
 
     @property
     def slope(self) -> Fraction:
@@ -158,16 +151,13 @@ class HNFiltration:
     def quotient_slopes(self) -> tuple[Fraction, ...]:
         """Strictly decreasing slopes of the graded pieces."""
         return tuple(
-            Fraction(step.degree - previous.degree, step.rank - previous.rank)
-            for previous, step in zip((HNStep(0, 0), *self.steps), self.steps)
+            Fraction(degree - previous_degree, rank - previous_rank)
+            for (previous_rank, previous_degree), (rank, degree)
+            in zip(((0, 0), *self.steps), self.steps)
         )
 
-    def step_pairs(self) -> tuple[tuple[int, int], ...]:
-        """Steps as plain ``(rank, degree)`` pairs."""
-        return tuple((step.rank, step.degree) for step in self.steps)
 
-
-def split_steps(summands: Iterable[tuple[int, int]]) -> tuple[HNStep, ...]:
+def split_steps(summands: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     """Harder-Narasimhan steps of the split bundle with these
     ``(degree, multiplicity)`` summands: one step per distinct degree,
     largest first, so the quotient slopes are the distinct degrees.
@@ -178,13 +168,13 @@ def split_steps(summands: Iterable[tuple[int, int]]) -> tuple[HNStep, ...]:
     order = sorted(counts, reverse=True)
     ranks = itertools.accumulate(counts[d] for d in order)
     degrees = itertools.accumulate(d * counts[d] for d in order)
-    return tuple(map(HNStep, ranks, degrees))
+    return tuple(zip(ranks, degrees))
 
 
 def hn_filtration(bundle: SplitBundle) -> HNFiltration:
     """Harder-Narasimhan filtration of a split bundle; see :func:`split_steps`.
 
-    >>> hn_filtration(SplitBundle((1, 2, 0, 0, 0))).step_pairs()
+    >>> hn_filtration(SplitBundle((1, 2, 0, 0, 0))).steps
     ((1, 2), (2, 3), (5, 3))
     """
     return HNFiltration(split_steps((degree, 1) for degree in bundle.summand_degrees))
@@ -218,27 +208,26 @@ def hn_brute_force_oracle(bundle: SplitBundle, cap: int = DEFAULT_ORACLE_CAP) ->
                     best_subset = subset
         total_rank += len(best_subset)
         total_degree += sum(remaining[i] for i in best_subset)
-        steps.append(HNStep(total_rank, total_degree))
+        steps.append((total_rank, total_degree))
         chosen = set(best_subset)
         remaining = [v for i, v in enumerate(remaining) if i not in chosen]
     return HNFiltration(tuple(steps))
 
 
-def validate_hn(steps: Iterable[Sequence[int]] | Iterable[HNStep]) -> HNFiltration:
+def validate_hn(steps: Iterable[Sequence[int]]) -> HNFiltration:
     """Accept user-asserted filtration data as cumulative (rank, degree) pairs.
 
     This is the entry point for bundles that are not given as direct sums
     of line bundles: the caller asserts the filtration, this function reads
     each pair, and :class:`HNFiltration` checks it, naming the first bad step.
     """
-    normalized = []
+    pairs = []
     for entry in steps:
-        if not isinstance(entry, HNStep):
-            try:
-                entry = HNStep(*entry)
-            except TypeError:
-                raise ValidationError(
-                    f"filtration step must be a (rank, degree) pair, got {entry!r}"
-                ) from None
-        normalized.append(entry)
-    return HNFiltration(tuple(normalized))
+        try:
+            rank, degree = entry
+        except (TypeError, ValueError):
+            raise ValidationError(
+                f"filtration step must be a (rank, degree) pair, got {entry!r}"
+            ) from None
+        pairs.append((rank, degree))
+    return HNFiltration(tuple(pairs))

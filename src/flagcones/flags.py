@@ -98,89 +98,38 @@ class CurveClass:
         object.__setattr__(self, "coords", _as_coords(self.coords))
 
 
-@dataclass(frozen=True)
-class FlagSpec:
-    """Chosen quotient ranks with their filtration indices.
+def quotient_ranks(steps) -> tuple[int, ...]:
+    """Ranks of the successive quotient bundles, one per proper step of the
+    filtration's ``(rank, degree)`` steps.
 
-    ``quotient_ranks`` is strictly decreasing, each entry equal to
-    ``n - rank_k`` for its filtration index ``k`` (1-based, strictly
-    increasing).  ``subspace_dims`` lists the complementary subspace
-    dimensions ``n - r`` in increasing order; they drive the dimension
-    bookkeeping of the flag fiber.
-    """
-
-    quotient_ranks: tuple[int, ...]
-    hn_indices: tuple[int, ...]
-    subspace_dims: tuple[int, ...]
-
-    @property
-    def gamma(self) -> int:
-        return len(self.quotient_ranks)
-
-
-@dataclass(frozen=True)
-class FlagModel:
-    """Flag bundle model: filtration, flag choice, and quotient degrees.
-
-    ``quotient_degrees[i]`` is the degree of the i-th quotient bundle,
-    i.e. total degree minus the degree of the filtration step the flag
-    rank points at.
-    """
-
-    hn: HNFiltration
-    spec: FlagSpec
-    quotient_degrees: tuple[int, ...]
-
-    @property
-    def gamma(self) -> int:
-        return self.spec.gamma
-
-    @property
-    def picard_rank(self) -> int:
-        return self.gamma + 1
-
-    @property
-    def fiber_dimension(self) -> int:
-        """Dimension of the flag variety fiber.
-
-        Standard flag combinatorics over the increasing subspace pattern
-        ``s_1 < ... < s_gamma < n``: sum of ``s_j * (s_{j+1} - s_j)``.
-        """
-        dims = self.spec.subspace_dims + (self.hn.n,)
-        return sum(dims[j] * (dims[j + 1] - dims[j]) for j in range(self.gamma))
-
-    @property
-    def total_dimension(self) -> int:
-        """Fiber dimension plus one for the base curve."""
-        return self.fiber_dimension + 1
-
-
-def quotient_ranks(hn: HNFiltration) -> tuple[int, ...]:
-    """Ranks of the successive quotient bundles, one per proper step.
-
-    >>> from .bundles import validate_hn
-    >>> quotient_ranks(validate_hn([(1, 2), (2, 3), (5, 3)]))
+    >>> quotient_ranks(((1, 2), (2, 3), (5, 3)))
     (4, 3)
     """
-    return tuple(hn.n - step.rank for step in hn.steps[:-1])
+    n = steps[-1][0]
+    return tuple([n - rank for rank, _ in steps[:-1]])
 
 
-def build_model(hn: HNFiltration, requested) -> FlagModel:
-    """Resolve the requested quotient ranks against the filtration profile
-    and attach the quotient degrees."""
-    if hn.d == 1:
+def _flag_bookkeeping(steps, requested):
+    """What the filtration's ``(rank, degree)`` steps and the requested
+    quotient ranks fix: per rank ``r`` its 1-based filtration index ``k``
+    (``r = n - rank_k``), its subspace dimension ``n - r`` and its quotient
+    degree (total degree minus the degree of step ``k``), and the fiber
+    dimension.  The fiber is a flag variety of the increasing subspace
+    pattern ``s_1 < ... < s_gamma < n``, of dimension the sum of
+    ``s_j * (s_{j+1} - s_j)``."""
+    if len(steps) == 1:
         raise SemistableBundle(
             "the bundle is semistable; flag construction needs at least two "
             "filtration steps"
         )
-    ranks = tuple(_check_int(r, "flag rank") for r in requested)
+    ranks = [_check_int(r, "flag rank") for r in requested]
     if not ranks:
         raise ValidationError("at least one quotient rank is required")
-    if any(ranks[i] <= ranks[i + 1] for i in range(len(ranks) - 1)):
+    if any(a <= b for a, b in zip(ranks, ranks[1:])):
         raise NotStrictlyDecreasing(
-            f"quotient ranks must be strictly decreasing, got {list(ranks)}"
+            f"quotient ranks must be strictly decreasing, got {ranks}"
         )
-    profile = quotient_ranks(hn)
+    profile = quotient_ranks(steps)
     indices = []
     for r in ranks:
         if r not in profile:
@@ -189,9 +138,40 @@ def build_model(hn: HNFiltration, requested) -> FlagModel:
                 f"{list(profile)}"
             )
         indices.append(profile.index(r) + 1)
-    spec = FlagSpec(ranks, tuple(indices), tuple(hn.n - r for r in ranks))
-    degrees = tuple(hn.degree - hn.steps[k - 1].degree for k in indices)
-    return FlagModel(hn, spec, degrees)
+    n, degree = steps[-1]
+    dims = tuple([n - r for r in ranks])
+    degrees = tuple([degree - steps[k - 1][1] for k in indices])
+    fiber = sum(s * (t - s) for s, t in zip(dims, (*dims[1:], n)))
+    return tuple(indices), dims, degrees, fiber
+
+
+@dataclass(frozen=True)
+class FlagModel:
+    """Flag bundle model: the filtration and the chosen quotient ranks, which
+    must be strictly decreasing and lie in the filtration profile.  The
+    filtration indices, subspace dimensions, quotient degrees and fiber
+    dimension follow from them (:func:`_flag_bookkeeping`)."""
+
+    hn: HNFiltration
+    quotient_ranks: tuple[int, ...]
+    hn_indices: tuple[int, ...] = field(init=False)
+    subspace_dims: tuple[int, ...] = field(init=False)
+    quotient_degrees: tuple[int, ...] = field(init=False)
+    fiber_dimension: int = field(init=False)
+
+    def __post_init__(self):
+        names = ("hn_indices", "subspace_dims", "quotient_degrees", "fiber_dimension")
+        for name, value in zip(names, _flag_bookkeeping(self.hn.steps, self.quotient_ranks)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def gamma(self) -> int:
+        return len(self.quotient_ranks)
+
+
+def build_model(hn: HNFiltration, requested) -> FlagModel:
+    """The flag model of ``hn`` with the ``requested`` quotient ranks."""
+    return FlagModel(hn, tuple(requested))
 
 
 # every unit vector holds these two objects, so a document writes each once
@@ -255,7 +235,7 @@ def curve_generators(model: FlagModel) -> tuple[CurveClass, ...]:
         )
         for i in range(gamma)
     ]
-    ranks = ", ".join(str(r) for r in model.spec.quotient_ranks)
+    ranks = ", ".join(str(r) for r in model.quotient_ranks)
     degrees = ", ".join(str(t) for t in model.quotient_degrees)
     generators.append(
         CurveClass(

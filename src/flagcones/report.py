@@ -35,6 +35,7 @@ from .flags import (
     FlagModel,
     build_model,
     Positivity,
+    _flag_bookkeeping,
     _positivity,
     curve_generators,
     pairing_matrix,
@@ -55,13 +56,15 @@ DIMENSION_NOTE = (
 class ModelSummary:
     """Bundle, filtration and flag data.
 
-    The free facts are the curve, the steps, the slopes, the quotient
-    ranks and the four flag fields, which are all set or, when only the
-    filtration was requested, all None.  The rest is derived: rank and
-    degree are those of the last step, one step means semistable, and a
-    flag gives the subspace dimensions ``rank - r``, the Picard rank
-    ``gamma + 1``, the total dimension (fiber plus one) and the dimensions
-    note; without a flag these are None and there are no notes.
+    The free facts are the curve, the steps, the slopes and the flag ranks,
+    which are None when only the filtration was requested.  The rest is
+    derived: rank and degree are those of the last step, one step means
+    semistable, and the quotient ranks are ``rank`` minus those of the proper
+    steps.  A flag fixes its filtration indices, subspace dimensions,
+    quotient degrees and fiber dimension as :class:`~flagcones.flags.FlagModel`
+    does, the Picard rank ``gamma + 1``, the total dimension (fiber plus one)
+    and the dimensions note; without a flag these are None and there are no
+    notes.
     """
 
     curve: CurveInfo
@@ -71,33 +74,35 @@ class ModelSummary:
     slope: Fraction
     semistable: bool = field(init=False)
     quotient_slopes: tuple[Fraction, ...]
-    quotient_ranks: tuple[int, ...]
+    quotient_ranks: tuple[int, ...] = field(init=False)
     flag_ranks: Optional[tuple[int, ...]] = None
-    hn_indices: Optional[tuple[int, ...]] = None
+    hn_indices: Optional[tuple[int, ...]] = field(init=False)
     subspace_dims: Optional[tuple[int, ...]] = field(init=False)
-    quotient_degrees: Optional[tuple[int, ...]] = None
+    quotient_degrees: Optional[tuple[int, ...]] = field(init=False)
     picard_rank: Optional[int] = field(init=False)
-    fiber_dimension: Optional[int] = None
+    fiber_dimension: Optional[int] = field(init=False)
     total_dimension: Optional[int] = field(init=False)
     notes: dict[str, str] = field(init=False)
 
     def __post_init__(self):
-        if not self.hn_steps:
+        steps, ranks = self.hn_steps, self.flag_ranks
+        if not steps:
             raise ValidationError("a filtration needs at least one step")
-        rank, degree = self.hn_steps[-1]
-        ranks, fiber = self.flag_ranks, self.fiber_dimension
-        if (ranks, self.hn_indices, self.quotient_degrees, fiber).count(None) not in (0, 4):
-            raise ValidationError(
-                "flag_ranks, hn_indices, quotient_degrees and fiber_dimension "
-                "must be all set or all null"
-            )
+        rank, degree = steps[-1]
         flagged = ranks is not None
+        indices = dims = degrees = fiber = None
+        if flagged:
+            indices, dims, degrees, fiber = _flag_bookkeeping(steps, ranks)
         derived = {
             "rank": rank,
             "degree": degree,
-            "semistable": len(self.hn_steps) == 1,
-            "subspace_dims": tuple([rank - r for r in ranks]) if flagged else None,
+            "semistable": len(steps) == 1,
+            "quotient_ranks": quotient_ranks(steps),
+            "hn_indices": indices,
+            "subspace_dims": dims,
+            "quotient_degrees": degrees,
             "picard_rank": len(ranks) + 1 if flagged else None,
+            "fiber_dimension": fiber,
             "total_dimension": fiber + 1 if flagged else None,
             "notes": {"dimensions": DIMENSION_NOTE} if flagged else {},
         }
@@ -256,19 +261,9 @@ def assert_duality(model: FlagModel) -> ConesSection:
 
 
 def _model_summary(
-    config: ProblemConfig, hn: HNFiltration, model: Optional[FlagModel]
+    config: ProblemConfig, hn: HNFiltration, flag_ranks: Optional[tuple[int, ...]] = None
 ) -> ModelSummary:
-    flag = ()
-    if model is not None:
-        flag = (
-            model.spec.quotient_ranks,
-            model.spec.hn_indices,
-            model.quotient_degrees,
-            model.fiber_dimension,
-        )
-    return ModelSummary(
-        config.curve, hn.step_pairs(), hn.slope, hn.quotient_slopes(), quotient_ranks(hn), *flag
-    )
+    return ModelSummary(config.curve, hn.steps, hn.slope, hn.quotient_slopes(), flag_ranks)
 
 
 def _divisor_entry(
@@ -289,14 +284,14 @@ def _divisor_entry(
 def run_hn(config: ProblemConfig) -> ReportDocument:
     """Filtration-only report; the flag section of the config is ignored."""
     hn = filtration_from_config(config)
-    return ReportDocument(SPEC_VERSION, _model_summary(config, hn, None))
+    return ReportDocument(SPEC_VERSION, _model_summary(config, hn))
 
 
 def run_cones(config: ProblemConfig) -> ReportDocument:
     """Model plus cone generators and the (verified) pairing matrix."""
     model = model_from_config(config)
     return ReportDocument(
-        SPEC_VERSION, _model_summary(config, model.hn, model), assert_duality(model)
+        SPEC_VERSION, _model_summary(config, model.hn, model.quotient_ranks), assert_duality(model)
     )
 
 
@@ -312,7 +307,7 @@ def run(config: ProblemConfig) -> ReportDocument:
     entries = tuple(_divisor_entry(divisor, model, status) for divisor in config.divisors)
     return ReportDocument(
         SPEC_VERSION,
-        _model_summary(config, model.hn, model),
+        _model_summary(config, model.hn, model.quotient_ranks),
         assert_duality(model),
         status,
         entries,
@@ -501,7 +496,7 @@ def _record(cls):
             raise _at(exc, key) from None
         try:
             record = cls(*[items[i] for i in given] if derived else items)
-        except ValidationError as exc:
+        except FlagconesError as exc:
             raise ParseError(str(exc)) from None
         for i, key, name in derived:
             read, own = items[i], getattr(record, name)  # a mapping must match in key order too

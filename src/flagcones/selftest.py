@@ -89,7 +89,7 @@ def random_model(rng: random.Random, max_gamma: int = 5) -> FlagModel:
             hn = hn_filtration(random_nonsemistable_bundle(rng))
         else:
             hn = random_filtration(rng)
-        profile = quotient_ranks(hn)
+        profile = quotient_ranks(hn.steps)
         if profile:
             break
     gamma = rng.randint(1, min(max_gamma, len(profile)))
@@ -126,8 +126,8 @@ def random_divisibility_model(
     """
     for _ in range(40):
         hn = hn_filtration(random_nonsemistable_bundle(rng, max_rank=9))
-        profile = quotient_ranks(hn)
-        ranks_present = {step.rank: step.degree for step in hn.steps}
+        profile = quotient_ranks(hn.steps)
+        ranks_present = dict(hn.steps)
         good = [
             r
             for r in profile
@@ -154,7 +154,7 @@ def random_divisibility_model(
             hn = validate_hn(list(zip(ranks, degrees)))
         except ValidationError:
             continue
-        profile = quotient_ranks(hn)
+        profile = quotient_ranks(hn.steps)
         gamma = rng.randint(1, min(max_gamma, len(profile)))
         chosen = tuple(sorted(rng.sample(profile, gamma), reverse=True))
         model = build_model(hn, chosen)
@@ -172,8 +172,8 @@ def random_config(rng: random.Random) -> ProblemConfig:
         kwargs = dict(summands=summands, hn_steps=None)
     else:
         hn = random_filtration(rng)
-        kwargs = dict(summands=None, hn_steps=hn.step_pairs())
-    profile = quotient_ranks(hn)
+        kwargs = dict(summands=None, hn_steps=hn.steps)
+    profile = quotient_ranks(hn.steps)
     gamma = rng.randint(1, min(4, len(profile)))
     flag = tuple(sorted(rng.sample(profile, gamma), reverse=True))
     divisors = []
@@ -223,7 +223,7 @@ def _pairing_trial(rng) -> str:
     try:
         assert_duality(model)
     except InternalCheckFailure as exc:
-        return f"{exc} for steps {model.hn.step_pairs()}"
+        return f"{exc} for steps {model.hn.steps}"
     return ""
 
 
@@ -272,7 +272,7 @@ def _gap_trial(rng) -> str:
     model, status = random_divisibility_model(rng)
     if all(g >= 1 for g in sesh.degree_gaps(model, status)):
         return ""
-    return f"gap below 1 for steps {model.hn.step_pairs()} flag {model.spec.quotient_ranks}"
+    return f"gap below 1 for steps {model.hn.steps} flag {model.quotient_ranks}"
 
 
 def _machine_roundtrip_trial(rng) -> str:

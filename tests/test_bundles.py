@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from flagcones import (
     CapExceeded,
     CurveInfo,
-    HNStep,
     NonDecreasingSlope,
     NonIncreasingRank,
     SplitBundle,
@@ -23,7 +22,7 @@ degree_lists = st.lists(st.integers(min_value=-5, max_value=5), min_size=1, max_
 
 
 def steps_of(degrees):
-    return hn_filtration(SplitBundle(tuple(degrees))).step_pairs()
+    return hn_filtration(SplitBundle(tuple(degrees))).steps
 
 
 class TestHNFiltration:
@@ -57,14 +56,14 @@ class TestHNFiltration:
 class TestOracle:
     def test_balanced_bundle(self):
         bundle = SplitBundle((1, -1, 0, 0, 0))
-        assert hn_brute_force_oracle(bundle).step_pairs() == ((1, 1), (4, 1), (5, 0))
+        assert hn_brute_force_oracle(bundle).steps == ((1, 1), (4, 1), (5, 0))
 
     def test_semistable_pair(self):
-        assert hn_brute_force_oracle(SplitBundle((0, 0))).step_pairs() == ((2, 0),)
+        assert hn_brute_force_oracle(SplitBundle((0, 0))).steps == ((2, 0),)
 
     def test_rank_seven_ladder(self):
         bundle = SplitBundle((3, 1, 0, 0, 0, -1, -2))
-        assert hn_brute_force_oracle(bundle).step_pairs() == (
+        assert hn_brute_force_oracle(bundle).steps == (
             (1, 3),
             (2, 4),
             (5, 4),
@@ -113,11 +112,13 @@ class TestSemistability:
 class TestValidateHN:
     def test_accepts_asserted_filtration(self):
         hn = validate_hn([(1, 4), (4, 4), (5, 3)])
-        assert hn.step_pairs() == ((1, 4), (4, 4), (5, 3))
+        assert hn.steps == ((1, 4), (4, 4), (5, 3))
         assert hn.d == 3 and hn.n == 5
 
     def test_accepts_step_objects(self):
-        assert validate_hn([HNStep(1, 2), HNStep(3, 3)]).d == 2
+        # a filtration's own steps, and any two-item sequences, read as pairs
+        assert validate_hn(validate_hn([(1, 2), (3, 3)]).steps).d == 2
+        assert validate_hn([[1, 2], [3, 3]]).steps == ((1, 2), (3, 3))
 
     def test_rejects_repeated_rank(self):
         with pytest.raises(NonIncreasingRank) as info:
@@ -150,9 +151,9 @@ class TestValidateHN:
 class TestSplitSteps:
     def test_counts_repeated_degrees(self):
         steps = split_steps([(0, 2), (2, 1), (1, 1), (0, 1)])
-        assert steps == (HNStep(1, 2), HNStep(2, 3), HNStep(5, 3))
+        assert steps == ((1, 2), (2, 3), (5, 3))
         huge = 10**30
-        assert split_steps([(0, 3), (2, 1), (0, huge)]) == (HNStep(1, 2), HNStep(huge + 4, 2))
+        assert split_steps([(0, 3), (2, 1), (0, huge)]) == ((1, 2), (huge + 4, 2))
 
 
 class TestProperties:

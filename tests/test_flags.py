@@ -9,9 +9,11 @@ from flagcones import (
     Basis,
     BasisMismatch,
     CurveClass,
+    CurveInfo,
     DivisorClass,
     NotStrictlyDecreasing,
     Positivity,
+    ProblemConfig,
     RankNotInHNProfile,
     SemistableBundle,
     SplitBundle,
@@ -25,6 +27,7 @@ from flagcones import (
     pairing,
     pairing_matrix,
     quotient_ranks,
+    run_cones,
     validate_hn,
 )
 from flagcones.selftest import random_divisor, random_model
@@ -34,36 +37,42 @@ HN5_C = validate_hn([(1, 4), (4, 4), (5, 3)])             # asserted directly
 HN7_B = hn_filtration(SplitBundle((8, 2, 0, 0, 0, -4, -5)))
 
 
+def model_section(hn, flag):
+    """The model section of a cones document for these steps and flag ranks."""
+    config = ProblemConfig(CurveInfo(), summands=None, hn_steps=hn.steps, flag_ranks=tuple(flag))
+    return run_cones(config).model
+
+
 class TestQuotientRanks:
     def test_rank_five(self):
-        assert quotient_ranks(HN5_A) == (4, 3)
+        assert quotient_ranks(HN5_A.steps) == (4, 3)
 
     def test_two_steps(self):
-        assert quotient_ranks(validate_hn([(1, 0), (2, -1)])) == (1,)
+        assert quotient_ranks(validate_hn([(1, 0), (2, -1)]).steps) == (1,)
 
     def test_rank_seven(self):
         hn = hn_filtration(SplitBundle((3, 1, 0, 0, 0, -1, -2)))
-        assert quotient_ranks(hn) == (6, 5, 2, 1)
+        assert quotient_ranks(hn.steps) == (6, 5, 2, 1)
 
     def test_semistable_profile_is_empty(self):
-        assert quotient_ranks(validate_hn([(3, 0)])) == ()
+        assert quotient_ranks(validate_hn([(3, 0)]).steps) == ()
 
 
 class TestMakeFlagSpec:
     """How ``build_model`` resolves the requested quotient ranks."""
 
     def test_resolves_indices(self):
-        spec = build_model(HN5_C, [4, 1]).spec
-        assert spec.hn_indices == (1, 2)
-        assert spec.gamma == 2
+        model = build_model(HN5_C, [4, 1])
+        assert model.hn_indices == (1, 2)
+        assert model.gamma == 2
 
     def test_subspace_dims(self):
-        spec = build_model(HN5_A, [4, 3]).spec
-        assert spec.hn_indices == (1, 2)
-        assert spec.subspace_dims == (1, 2)
+        model = build_model(HN5_A, [4, 3])
+        assert model.hn_indices == (1, 2)
+        assert model.subspace_dims == (1, 2)
         assert all(
-            spec.subspace_dims[i] < spec.subspace_dims[i + 1]
-            for i in range(spec.gamma - 1)
+            model.subspace_dims[i] < model.subspace_dims[i + 1]
+            for i in range(model.gamma - 1)
         )
 
     def test_rank_not_in_profile(self):
@@ -104,14 +113,14 @@ class TestBuildModel:
         assert model.quotient_degrees == (-7, -9, -9, -5)
 
     def test_picard_rank(self):
-        assert build_model(HN5_A, [4, 3]).picard_rank == 3
-        assert build_model(HN7_B, [6, 5, 2, 1]).picard_rank == 5
+        assert model_section(HN5_A, [4, 3]).picard_rank == 3
+        assert model_section(HN7_B, [6, 5, 2, 1]).picard_rank == 5
 
     def test_dimensions(self):
         model = build_model(HN5_A, [4, 3])
         # flags of subspace dims (1, 2) in a 5-space: 1*1 + 2*3 = 7
         assert model.fiber_dimension == 7
-        assert model.total_dimension == 8
+        assert model_section(HN5_A, [4, 3]).total_dimension == 8
 
     def test_grassmannian_dimension(self):
         model = build_model(HN5_A, [3])
@@ -266,13 +275,13 @@ class TestModelProperties:
     def test_profile_shape(self, seed):
         rng = random.Random(seed)
         model = random_model(rng)
-        profile = quotient_ranks(model.hn)
+        profile = quotient_ranks(model.hn.steps)
         assert len(profile) == model.hn.d - 1
         assert all(profile[i] > profile[i + 1] for i in range(len(profile) - 1))
         # building the model changed nothing upstream
-        assert quotient_ranks(model.hn) == profile
+        assert quotient_ranks(model.hn.steps) == profile
         assert len(model.quotient_degrees) == model.gamma
-        assert model.picard_rank == model.gamma + 1
+        assert model_section(model.hn, model.quotient_ranks).picard_rank == model.gamma + 1
 
 
 class TestDivisorClassGuards:

@@ -161,6 +161,26 @@ def below_zero(d):
     d["divisors"][0]["seshadri"] = record
 
 
+def dimensions_plus_one(d):
+    # both dimensions one higher, so only the fiber's contradicts the flag
+    d["model"]["fiber_dimension"] += 1
+    d["model"]["total_dimension"] += 1
+
+
+def flag_rank_off_the_profile(d):
+    # flag rank 7 with the subspace dimension 7 - 7 it gives, and no assumption
+    # section to hold its witness; no filtration step leaves a quotient of rank 7
+    d["model"]["flag_ranks"][0] = 7
+    d["model"]["subspace_dims"][0] = 0
+    d["assumption"] = None
+
+
+def flag_on_one_step(d):
+    # the steps, slopes and empty profile of a semistable bundle beside the flag
+    d["model"].update(hn_steps=[[7, 1]], semistable=True, quotient_slopes=["1/7"], quotient_ranks=[])
+    d["assumption"] = None
+
+
 # Well-typed documents that contradict what the model section and the divisor
 # entries derive, or the sections each other.  RANK7_B's only divisor is the
 # ample nef-basis class L, and its flag ranks are (6, 5, 2, 1).
@@ -183,6 +203,12 @@ DERIVED = {
     "seshadri-below-zero": ("divisors[0]", below_zero),
     "witness-off-the-flag": ("document", lambda d: first_witness(d).update(index=7, flag_rank=3)),
     "cones-off-the-picard-rank": ("document", cones_one_size_smaller),
+    "model-hn-index": ("model", lambda d: d["model"]["hn_indices"].__setitem__(0, 2)),
+    "model-quotient-rank": ("model", lambda d: d["model"]["quotient_ranks"].__setitem__(0, 5)),
+    "model-quotient-degree": ("model", lambda d: d["model"]["quotient_degrees"].__setitem__(0, -6)),
+    "model-fiber-and-total-dimension": ("model", dimensions_plus_one),
+    "flag-rank-off-the-profile": ("model", flag_rank_off_the_profile),
+    "flag-on-one-step": ("model", flag_on_one_step),
 }
 REJECTED += [pytest.param(*case, id=name) for name, case in DERIVED.items()]
 
@@ -256,6 +282,15 @@ class TestRun:
     def test_semistable_rejected(self):
         with pytest.raises(SemistableBundle):
             run(config_for((0, 0, 0), (1,)))
+
+    @pytest.mark.parametrize("basis", [Basis.NEF, Basis.PLUECKER])
+    @pytest.mark.parametrize("count", [4, 6])
+    def test_coordinate_count_message(self, basis, count):
+        # RANK7_B has gamma = 4, so a class needs gamma + 1 = 5 coordinates
+        divisor = DivisorClass(basis, (1,) * count, name="L")
+        entry = run(dataclasses.replace(RANK7_B, divisors=(divisor,))).divisors[0]
+        error = ("ValidationError", f"expected 5 coordinates, got {count}")
+        assert (entry.error.type, entry.error.message) == error
 
     def test_per_divisor_errors_do_not_abort(self):
         config = config_for(
@@ -435,9 +470,15 @@ class TestMachineFormat:
             ("step-without-degree", "hn_index and subbundle_degree must be both set or both null"),
             ("nef-generator-removed", "expected 5 nef generators and 5 coordinates per generator"),
             ("model-rank", "rank does not follow from the other fields"),
+            ("fiber-without-flag", "fiber_dimension does not follow from the other fields"),
+            ("model-hn-index", "hn_indices does not follow from the other fields"),
+            ("model-quotient-rank", "quotient_ranks does not follow from the other fields"),
+            ("model-quotient-degree", "quotient_degrees does not follow from the other fields"),
+            ("model-fiber-and-total-dimension", "fiber_dimension does not follow from the other fields"),
+            ("flag-rank-off-the-profile", "quotient rank 7 is not in the filtration profile [6, 5, 2, 1]"),
             (
-                "fiber-without-flag",
-                "flag_ranks, hn_indices, quotient_degrees and fiber_dimension must be all set or all null",
+                "flag-on-one-step",
+                "the bundle is semistable; flag construction needs at least two filtration steps",
             ),
             ("classification-flipped", "classification does not follow from the other fields"),
             ("last-nef-coordinate-edited", "nef_coords do not follow from nef coords"),
