@@ -89,8 +89,10 @@ class HNFiltration:
 
     Construction validates the two defining conditions: ranks strictly
     increase, and the slopes of the successive quotients strictly
-    decrease.  Length 1 means the bundle is semistable; that is legal
-    here and rejected only where a non-semistable bundle is required.
+    decrease, compared in integers (``p/q < r/s`` as ``p*s < r*q``, the
+    ranks being positive).  Length 1 means the bundle is semistable; that
+    is legal here and rejected only where a non-semistable bundle is
+    required.
 
     >>> HNFiltration(((1, 2), (2, 3), (5, 3))).quotient_slopes()
     (Fraction(2, 1), Fraction(1, 1), Fraction(0, 1))
@@ -103,9 +105,8 @@ class HNFiltration:
         if not steps:
             raise ValidationError("a filtration needs at least one step")
         object.__setattr__(self, "steps", steps)
-        previous_rank = 0
-        previous_degree = 0
-        previous_slope: Fraction | None = None
+        previous_rank = previous_degree = 0
+        previous = None  # the previous quotient's (degree, rank)
         for j, (rank, degree) in enumerate(steps, start=1):
             _check_int(rank, "step rank")
             _check_int(degree, "step degree")
@@ -115,14 +116,14 @@ class HNFiltration:
                     f"step {j}: rank {rank} does not exceed "
                     f"previous rank {previous_rank}",
                 )
-            current = Fraction(degree - previous_degree, rank - previous_rank)
-            if previous_slope is not None and current >= previous_slope:
+            current = (degree - previous_degree, rank - previous_rank)
+            if previous is not None and current[0] * previous[1] >= previous[0] * current[1]:
                 raise NonDecreasingSlope(
                     j,
-                    f"step {j}: quotient slope {current} is not below "
-                    f"previous quotient slope {previous_slope}",
+                    f"step {j}: quotient slope {Fraction(*current)} is not below "
+                    f"previous quotient slope {Fraction(*previous)}",
                 )
-            previous_rank, previous_degree, previous_slope = rank, degree, current
+            previous_rank, previous_degree, previous = rank, degree, current
 
     @property
     def n(self) -> int:

@@ -20,14 +20,13 @@ that projects to a point in every Grassmannian factor but the i-th, and
 flag.  Generators of the two cones pair as the identity matrix.
 """
 
-from __future__ import annotations
-
 import enum
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Optional
 
-from .bundles import HNFiltration, _check_int
+from .bundles import CurveInfo, HNFiltration, _check_int
 from .errors import (
     BasisMismatch,
     NotStrictlyDecreasing,
@@ -145,33 +144,79 @@ def _flag_bookkeeping(steps, requested):
     return tuple(indices), dims, degrees, fiber
 
 
+DIMENSION_NOTE = (
+    "fiber and total dimension are derived from the subspace dimension "
+    "pattern (standard flag combinatorics); they are bookkeeping, not part "
+    "of the cone data"
+)
+
+
 @dataclass(frozen=True)
 class FlagModel:
-    """Flag bundle model: the filtration and the chosen quotient ranks, which
-    must be strictly decreasing and lie in the filtration profile.  The
-    filtration indices, subspace dimensions, quotient degrees and fiber
-    dimension follow from them (:func:`_flag_bookkeeping`)."""
+    """The flag bundle over the curve; it is the ``model`` section of a
+    machine document, its fields in the document's key order.
 
-    hn: HNFiltration
-    quotient_ranks: tuple[int, ...]
-    hn_indices: tuple[int, ...] = field(init=False)
-    subspace_dims: tuple[int, ...] = field(init=False)
-    quotient_degrees: tuple[int, ...] = field(init=False)
-    fiber_dimension: int = field(init=False)
+    The free facts are the curve, the filtration's ``(rank, degree)`` steps
+    and the flag ranks, which are None when only the filtration was
+    requested.  The rest is derived: :class:`HNFiltration` checks the steps,
+    rank and degree are those of the last step, one step means semistable,
+    and the quotient ranks are the profile (:func:`quotient_ranks`).  Flag
+    ranks must be strictly decreasing and lie in the profile; they fix the
+    filtration indices, subspace dimensions, quotient degrees and fiber
+    dimension (:func:`_flag_bookkeeping`), the Picard rank ``gamma + 1``, the
+    total dimension (fiber plus one) and the dimensions note.  Without a
+    flag these are None and there are no notes.
+    """
+
+    curve: CurveInfo
+    hn_steps: tuple[tuple[int, int], ...]
+    rank: int = field(init=False)
+    degree: int = field(init=False)
+    slope: Fraction = field(init=False)
+    semistable: bool = field(init=False)
+    quotient_slopes: tuple[Fraction, ...] = field(init=False)
+    quotient_ranks: tuple[int, ...] = field(init=False)
+    flag_ranks: Optional[tuple[int, ...]] = None
+    hn_indices: Optional[tuple[int, ...]] = field(init=False)
+    subspace_dims: Optional[tuple[int, ...]] = field(init=False)
+    quotient_degrees: Optional[tuple[int, ...]] = field(init=False)
+    picard_rank: Optional[int] = field(init=False)
+    fiber_dimension: Optional[int] = field(init=False)
+    total_dimension: Optional[int] = field(init=False)
+    notes: dict[str, str] = field(init=False, hash=False)  # a dict cannot be hashed
 
     def __post_init__(self):
-        names = ("hn_indices", "subspace_dims", "quotient_degrees", "fiber_dimension")
-        for name, value in zip(names, _flag_bookkeeping(self.hn.steps, self.quotient_ranks)):
+        hn, ranks = HNFiltration(self.hn_steps), self.flag_ranks
+        steps, flagged = hn.steps, ranks is not None
+        indices = dims = degrees = fiber = None
+        if flagged:
+            indices, dims, degrees, fiber = _flag_bookkeeping(steps, ranks)
+        derived = {
+            "rank": hn.n,
+            "degree": hn.degree,
+            "slope": hn.slope,
+            "semistable": hn.is_semistable,
+            "quotient_slopes": hn.quotient_slopes(),
+            "quotient_ranks": quotient_ranks(steps),
+            "hn_indices": indices,
+            "subspace_dims": dims,
+            "quotient_degrees": degrees,
+            "picard_rank": len(ranks) + 1 if flagged else None,
+            "fiber_dimension": fiber,
+            "total_dimension": fiber + 1 if flagged else None,
+            "notes": {"dimensions": DIMENSION_NOTE} if flagged else {},
+        }
+        for name, value in derived.items():
             object.__setattr__(self, name, value)
 
     @property
     def gamma(self) -> int:
-        return len(self.quotient_ranks)
+        return len(self.flag_ranks)
 
 
-def build_model(hn: HNFiltration, requested) -> FlagModel:
-    """The flag model of ``hn`` with the ``requested`` quotient ranks."""
-    return FlagModel(hn, tuple(requested))
+def build_model(hn: HNFiltration, requested, curve: CurveInfo = CurveInfo()) -> FlagModel:
+    """The flag model of ``hn`` over ``curve`` with the ``requested`` quotient ranks."""
+    return FlagModel(curve, hn.steps, tuple(requested))
 
 
 # every unit vector holds these two objects, so a document writes each once
@@ -235,7 +280,7 @@ def curve_generators(model: FlagModel) -> tuple[CurveClass, ...]:
         )
         for i in range(gamma)
     ]
-    ranks = ", ".join(str(r) for r in model.quotient_ranks)
+    ranks = ", ".join(str(r) for r in model.flag_ranks)
     degrees = ", ".join(str(t) for t in model.quotient_degrees)
     generators.append(
         CurveClass(

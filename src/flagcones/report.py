@@ -18,7 +18,7 @@ from types import UnionType
 from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 from . import seshadri as sesh
-from .bundles import CurveInfo, HNFiltration, split_steps, validate_hn
+from .bundles import HNFiltration, split_steps, validate_hn
 from .config import ProblemConfig, _decode_once, _require_text, load_json, parse_rational
 from .errors import (
     EXIT_OK,
@@ -35,80 +35,13 @@ from .flags import (
     FlagModel,
     build_model,
     Positivity,
-    _flag_bookkeeping,
     _positivity,
     curve_generators,
     pairing_matrix,
-    quotient_ranks,
     to_nef,
 )
 
 SPEC_VERSION = 1
-
-DIMENSION_NOTE = (
-    "fiber and total dimension are derived from the subspace dimension "
-    "pattern (standard flag combinatorics); they are bookkeeping, not part "
-    "of the cone data"
-)
-
-
-@dataclass(frozen=True)
-class ModelSummary:
-    """Bundle, filtration and flag data.
-
-    The free facts are the curve, the steps, the slopes and the flag ranks,
-    which are None when only the filtration was requested.  The rest is
-    derived: rank and degree are those of the last step, one step means
-    semistable, and the quotient ranks are ``rank`` minus those of the proper
-    steps.  A flag fixes its filtration indices, subspace dimensions,
-    quotient degrees and fiber dimension as :class:`~flagcones.flags.FlagModel`
-    does, the Picard rank ``gamma + 1``, the total dimension (fiber plus one)
-    and the dimensions note; without a flag these are None and there are no
-    notes.
-    """
-
-    curve: CurveInfo
-    hn_steps: tuple[tuple[int, int], ...]
-    rank: int = field(init=False)
-    degree: int = field(init=False)
-    slope: Fraction
-    semistable: bool = field(init=False)
-    quotient_slopes: tuple[Fraction, ...]
-    quotient_ranks: tuple[int, ...] = field(init=False)
-    flag_ranks: Optional[tuple[int, ...]] = None
-    hn_indices: Optional[tuple[int, ...]] = field(init=False)
-    subspace_dims: Optional[tuple[int, ...]] = field(init=False)
-    quotient_degrees: Optional[tuple[int, ...]] = field(init=False)
-    picard_rank: Optional[int] = field(init=False)
-    fiber_dimension: Optional[int] = field(init=False)
-    total_dimension: Optional[int] = field(init=False)
-    notes: dict[str, str] = field(init=False)
-
-    def __post_init__(self):
-        steps, ranks = self.hn_steps, self.flag_ranks
-        if not steps:
-            raise ValidationError("a filtration needs at least one step")
-        rank, degree = steps[-1]
-        flagged = ranks is not None
-        indices = dims = degrees = fiber = None
-        if flagged:
-            indices, dims, degrees, fiber = _flag_bookkeeping(steps, ranks)
-        derived = {
-            "rank": rank,
-            "degree": degree,
-            "semistable": len(steps) == 1,
-            "quotient_ranks": quotient_ranks(steps),
-            "hn_indices": indices,
-            "subspace_dims": dims,
-            "quotient_degrees": degrees,
-            "picard_rank": len(ranks) + 1 if flagged else None,
-            "fiber_dimension": fiber,
-            "total_dimension": fiber + 1 if flagged else None,
-            "notes": {"dimensions": DIMENSION_NOTE} if flagged else {},
-        }
-        for name, value in derived.items():
-            object.__setattr__(self, name, value)
-
 
 @dataclass(frozen=True)
 class DivisorGeneratorInfo:
@@ -210,7 +143,7 @@ class ReportDocument:
     cones have one curve generator per Picard rank."""
 
     spec_version: int
-    model: ModelSummary
+    model: FlagModel
     cones: Optional[ConesSection] = None
     assumption: Optional[sesh.DivisibilityStatus] = None
     divisors: Optional[tuple[DivisorEntry, ...]] = None
@@ -239,8 +172,7 @@ def filtration_from_config(config: ProblemConfig) -> HNFiltration:
 
 
 def model_from_config(config: ProblemConfig) -> FlagModel:
-    hn = filtration_from_config(config)
-    return build_model(hn, config.flag_ranks)
+    return build_model(filtration_from_config(config), config.flag_ranks, config.curve)
 
 
 def assert_duality(model: FlagModel) -> ConesSection:
@@ -258,12 +190,6 @@ def assert_duality(model: FlagModel) -> ConesSection:
         return ConesSection(divisor_infos, curve_infos, matrix)
     except ValidationError as exc:
         raise InternalCheckFailure(str(exc)) from None
-
-
-def _model_summary(
-    config: ProblemConfig, hn: HNFiltration, flag_ranks: Optional[tuple[int, ...]] = None
-) -> ModelSummary:
-    return ModelSummary(config.curve, hn.steps, hn.slope, hn.quotient_slopes(), flag_ranks)
 
 
 def _divisor_entry(
@@ -284,15 +210,13 @@ def _divisor_entry(
 def run_hn(config: ProblemConfig) -> ReportDocument:
     """Filtration-only report; the flag section of the config is ignored."""
     hn = filtration_from_config(config)
-    return ReportDocument(SPEC_VERSION, _model_summary(config, hn))
+    return ReportDocument(SPEC_VERSION, FlagModel(config.curve, hn.steps))
 
 
 def run_cones(config: ProblemConfig) -> ReportDocument:
     """Model plus cone generators and the (verified) pairing matrix."""
     model = model_from_config(config)
-    return ReportDocument(
-        SPEC_VERSION, _model_summary(config, model.hn, model.quotient_ranks), assert_duality(model)
-    )
+    return ReportDocument(SPEC_VERSION, model, assert_duality(model))
 
 
 def run(config: ProblemConfig) -> ReportDocument:
@@ -305,13 +229,7 @@ def run(config: ProblemConfig) -> ReportDocument:
     model = model_from_config(config)
     status = sesh.check_divisibility(model)
     entries = tuple(_divisor_entry(divisor, model, status) for divisor in config.divisors)
-    return ReportDocument(
-        SPEC_VERSION,
-        _model_summary(config, model.hn, model.quotient_ranks),
-        assert_duality(model),
-        status,
-        entries,
-    )
+    return ReportDocument(SPEC_VERSION, model, assert_duality(model), status, entries)
 
 
 def worst_exit_code(doc: ReportDocument) -> int:
@@ -606,7 +524,7 @@ def _rows(pairs: list[tuple[str, str]], indent: str = "  ") -> list[str]:
     return [f"{indent}{k.ljust(width)}  {v}" for k, v in pairs]
 
 
-def _render_model(m: ModelSummary) -> list[str]:
+def _render_model(m: FlagModel) -> list[str]:
     pairs = [
         ("curve", f"{m.curve.label} (genus {m.curve.genus})"),
         ("rank / degree", f"{m.rank} / {m.degree}"),

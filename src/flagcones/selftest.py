@@ -82,6 +82,12 @@ def random_filtration(rng: random.Random) -> HNFiltration:
     return validate_hn(steps)
 
 
+def _random_flag(rng: random.Random, ranks, cap: int) -> tuple[int, ...]:
+    """Between 1 and ``cap`` of ``ranks``, drawn at random, largest first."""
+    gamma = rng.randint(1, min(cap, len(ranks)))
+    return tuple(sorted(rng.sample(ranks, gamma), reverse=True))
+
+
 def random_model(rng: random.Random, max_gamma: int = 5) -> FlagModel:
     """Random flag model, mixing split bundles and raw filtration input."""
     while True:
@@ -92,9 +98,7 @@ def random_model(rng: random.Random, max_gamma: int = 5) -> FlagModel:
         profile = quotient_ranks(hn.steps)
         if profile:
             break
-    gamma = rng.randint(1, min(max_gamma, len(profile)))
-    chosen = tuple(sorted(rng.sample(profile, gamma), reverse=True))
-    return build_model(hn, chosen)
+    return build_model(hn, _random_flag(rng, profile, max_gamma))
 
 
 def random_nef_divisor(rng: random.Random, gamma: int) -> DivisorClass:
@@ -135,9 +139,7 @@ def random_divisibility_model(
         ]
         if not good:
             continue
-        gamma = rng.randint(1, min(max_gamma, len(good)))
-        chosen = tuple(sorted(rng.sample(good, gamma), reverse=True))
-        model = build_model(hn, chosen)
+        model = build_model(hn, _random_flag(rng, good, max_gamma))
         status = sesh.check_divisibility(model)
         if status.holds:
             return model, status
@@ -154,10 +156,7 @@ def random_divisibility_model(
             hn = validate_hn(list(zip(ranks, degrees)))
         except ValidationError:
             continue
-        profile = quotient_ranks(hn.steps)
-        gamma = rng.randint(1, min(max_gamma, len(profile)))
-        chosen = tuple(sorted(rng.sample(profile, gamma), reverse=True))
-        model = build_model(hn, chosen)
+        model = build_model(hn, _random_flag(rng, quotient_ranks(hn.steps), max_gamma))
         status = sesh.check_divisibility(model)
         if status.holds:
             return model, status
@@ -173,12 +172,10 @@ def random_config(rng: random.Random) -> ProblemConfig:
     else:
         hn = random_filtration(rng)
         kwargs = dict(summands=None, hn_steps=hn.steps)
-    profile = quotient_ranks(hn.steps)
-    gamma = rng.randint(1, min(4, len(profile)))
-    flag = tuple(sorted(rng.sample(profile, gamma), reverse=True))
+    flag = _random_flag(rng, quotient_ranks(hn.steps), 4)
     divisors = []
     for j in range(rng.randint(0, 3)):
-        d = random_divisor(rng, gamma)
+        d = random_divisor(rng, len(flag))
         divisors.append(DivisorClass(d.basis, d.coords, name=f"D{j + 1}"))
     return ProblemConfig(
         curve=CurveInfo(rng.randint(0, 3), "X"),
@@ -223,7 +220,7 @@ def _pairing_trial(rng) -> str:
     try:
         assert_duality(model)
     except InternalCheckFailure as exc:
-        return f"{exc} for steps {model.hn.steps}"
+        return f"{exc} for steps {model.hn_steps}"
     return ""
 
 
@@ -272,7 +269,7 @@ def _gap_trial(rng) -> str:
     model, status = random_divisibility_model(rng)
     if all(g >= 1 for g in sesh.degree_gaps(model, status)):
         return ""
-    return f"gap below 1 for steps {model.hn.steps} flag {model.quotient_ranks}"
+    return f"gap below 1 for steps {model.hn_steps} flag {model.flag_ranks}"
 
 
 def _machine_roundtrip_trial(rng) -> str:

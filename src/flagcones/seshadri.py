@@ -139,7 +139,7 @@ def check_divisibility(model: FlagModel) -> DivisibilityStatus:
     >>> status.holds, [failure.reason for failure in status.failures]
     (False, ['no_rank_match', 'no_rank_match'])
     """
-    witnesses = divisibility_witnesses(model.hn.steps, model.quotient_ranks)
+    witnesses = divisibility_witnesses(model.hn_steps, model.flag_ranks)
     return DivisibilityStatus(witnesses)
 
 

@@ -195,8 +195,8 @@ def test_criterion_5_degree_gap():
         model, status = random_divisibility_model(rng, max_gamma=5)
         gaps = degree_gaps(model, status)
         assert all(g >= 1 for g in gaps), (
-            f"gap below 1: steps {model.hn.steps} "
-            f"flag {model.quotient_ranks} gaps {gaps}"
+            f"gap below 1: steps {model.hn_steps} "
+            f"flag {model.flag_ranks} gaps {gaps}"
         )
     elapsed = time.perf_counter() - start
     _report(5, f"500 condition-satisfying models in {elapsed:.1f}s")

@@ -275,13 +275,13 @@ class TestModelProperties:
     def test_profile_shape(self, seed):
         rng = random.Random(seed)
         model = random_model(rng)
-        profile = quotient_ranks(model.hn.steps)
-        assert len(profile) == model.hn.d - 1
+        profile = quotient_ranks(model.hn_steps)
+        assert len(profile) == len(model.hn_steps) - 1
         assert all(profile[i] > profile[i + 1] for i in range(len(profile) - 1))
         # building the model changed nothing upstream
-        assert quotient_ranks(model.hn.steps) == profile
+        assert quotient_ranks(model.hn_steps) == profile
         assert len(model.quotient_degrees) == model.gamma
-        assert model_section(model.hn, model.quotient_ranks).picard_rank == model.gamma + 1
+        assert model_section(validate_hn(model.hn_steps), model.flag_ranks).picard_rank == model.gamma + 1
 
 
 class TestDivisorClassGuards:

@@ -31,7 +31,7 @@ from flagcones import (
 )
 from flagcones.cli import main
 from flagcones.gallery import Digest
-from flagcones.report import emit, model_from_config, worst_exit_code
+from flagcones.report import emit, from_json, model_from_config, worst_exit_code
 from flagcones.seshadri import SeshadriReport, check_divisibility, full_report
 from flagcones.selftest import random_config
 
@@ -181,6 +181,14 @@ def flag_on_one_step(d):
     d["assumption"] = None
 
 
+def step_slope_not_below(d):
+    # step 3 (5, 10) becomes (5, 30), with the quotient degree and the witness
+    # degree it gives; its quotient slope 20/3 rises above the 2 before it
+    d["model"]["hn_steps"][2] = [5, 30]
+    d["model"]["quotient_degrees"][2] = -29
+    d["assumption"]["witnesses"][1]["subbundle_degree"] = 30
+
+
 # Well-typed documents that contradict what the model section and the divisor
 # entries derive, or the sections each other.  RANK7_B's only divisor is the
 # ample nef-basis class L, and its flag ranks are (6, 5, 2, 1).
@@ -209,6 +217,9 @@ DERIVED = {
     "model-fiber-and-total-dimension": ("model", dimensions_plus_one),
     "flag-rank-off-the-profile": ("model", flag_rank_off_the_profile),
     "flag-on-one-step": ("model", flag_on_one_step),
+    "model-slope": ("model", lambda d: d["model"].update(slope="2/7")),
+    "model-quotient-slope": ("model", lambda d: d["model"]["quotient_slopes"].__setitem__(0, 5)),
+    "model-step-slope-not-below": ("model", step_slope_not_below),
 }
 REJECTED += [pytest.param(*case, id=name) for name, case in DERIVED.items()]
 
@@ -330,6 +341,22 @@ class TestRun:
         model = model_from_config(config)
         full_report(nef[0], model)
         assert len(scans) == 2
+
+    def test_flag_bookkeeping_once_per_run(self, monkeypatch):
+        import flagcones.flags as flags_module
+
+        bookkeeping = flags_module._flag_bookkeeping
+        calls = []
+
+        def counted(steps, ranks):
+            calls.append(ranks)
+            return bookkeeping(steps, ranks)
+
+        monkeypatch.setattr(flags_module, "_flag_bookkeeping", counted)
+        doc = run(RANK7_B)
+        assert calls == [(6, 5, 2, 1)]
+        # the document's model section is the model the run computed with
+        assert doc.model == model_from_config(RANK7_B)
 
     def test_classification_without_classify_divisor(self, monkeypatch):
         import flagcones.flags as flags_module
@@ -480,6 +507,12 @@ class TestMachineFormat:
                 "flag-on-one-step",
                 "the bundle is semistable; flag construction needs at least two filtration steps",
             ),
+            ("model-slope", "slope does not follow from the other fields"),
+            ("model-quotient-slope", "quotient_slopes does not follow from the other fields"),
+            (
+                "model-step-slope-not-below",
+                "step 3: quotient slope 20/3 is not below previous quotient slope 2",
+            ),
             ("classification-flipped", "classification does not follow from the other fields"),
             ("last-nef-coordinate-edited", "nef_coords do not follow from nef coords"),
             ("seshadri-and-error-null", "exactly one of seshadri and error must be set"),
@@ -512,18 +545,20 @@ class TestMachineFormat:
         assert str(excinfo.value) == "divisors[0].name: lone surrogate '\\ud800' is not UTF-8"
 
     def test_accepted_rational_renders_back(self):
-        data = json.loads(render_machine(run(RANK7_B)))
+        # equal bounds are free in a constant_case record; its other three rationals equal them
+        data = json.loads(emit(SeshadriReport(Fraction(1), Fraction(1), "constant_case")))
         numerators = ["0", "1", "3", "10", "03", "1\u0660", "\u0663"]
         denominators = ["1", "7", "14", "07", "\u0667"]
         accepted = []
         for sign, p, q in itertools.product(["", "-", "+", " "], numerators, denominators):
-            data["model"]["slope"] = token = f"{sign}{p}/{q}"
-            text = json.dumps(data, indent=2) + "\n"
+            token = f"{sign}{p}/{q}"
+            data.update(dict.fromkeys(["lower", "upper", "global", "at_section", "general"], token))
+            text = json.dumps(data, indent=2)
             try:
-                doc = parse_machine(text)
+                report = from_json(SeshadriReport, json.loads(text))
             except ParseError:
                 continue
-            assert render_machine(doc) == text
+            assert emit(report) == text
             accepted.append(token)
         written = ["1/7", "1/14", "3/7", "3/14", "10/7"]
         assert accepted == written + ["-" + token for token in written]
