@@ -108,9 +108,9 @@ def quotient_ranks(steps) -> tuple[int, ...]:
     return tuple([n - rank for rank, _ in steps[:-1]])
 
 
-def _flag_bookkeeping(steps, requested):
-    """What the filtration's ``(rank, degree)`` steps and the requested
-    quotient ranks fix: per rank ``r`` its 1-based filtration index ``k``
+def _flag_bookkeeping(steps, profile, requested):
+    """What the filtration's ``(rank, degree)`` steps, their ``profile``
+    (:func:`quotient_ranks`) and the requested quotient ranks fix: per rank ``r`` its 1-based filtration index ``k``
     (``r = n - rank_k``), its subspace dimension ``n - r`` and its quotient
     degree (total degree minus the degree of step ``k``), and the fiber
     dimension.  The fiber is a flag variety of the increasing subspace
@@ -128,7 +128,6 @@ def _flag_bookkeeping(steps, requested):
         raise NotStrictlyDecreasing(
             f"quotient ranks must be strictly decreasing, got {ranks}"
         )
-    profile = quotient_ranks(steps)
     indices = []
     for r in ranks:
         if r not in profile:
@@ -143,6 +142,8 @@ def _flag_bookkeeping(steps, requested):
     fiber = sum(s * (t - s) for s, t in zip(dims, (*dims[1:], n)))
     return tuple(indices), dims, degrees, fiber
 
+
+NO_FLAG = "the model has no flag ranks; its cones and divisibility need a flag"
 
 DIMENSION_NOTE = (
     "fiber and total dimension are derived from the subspace dimension "
@@ -188,16 +189,17 @@ class FlagModel:
     def __post_init__(self):
         hn, ranks = HNFiltration(self.hn_steps), self.flag_ranks
         steps, flagged = hn.steps, ranks is not None
+        profile = quotient_ranks(steps)
         indices = dims = degrees = fiber = None
         if flagged:
-            indices, dims, degrees, fiber = _flag_bookkeeping(steps, ranks)
+            indices, dims, degrees, fiber = _flag_bookkeeping(steps, profile, ranks)
         derived = {
             "rank": hn.n,
             "degree": hn.degree,
             "slope": hn.slope,
             "semistable": hn.is_semistable,
             "quotient_slopes": hn.quotient_slopes(),
-            "quotient_ranks": quotient_ranks(steps),
+            "quotient_ranks": profile,
             "hn_indices": indices,
             "subspace_dims": dims,
             "quotient_degrees": degrees,
@@ -211,6 +213,8 @@ class FlagModel:
 
     @property
     def gamma(self) -> int:
+        if self.flag_ranks is None:
+            raise ValidationError(NO_FLAG)
         return len(self.flag_ranks)
 
 

@@ -26,7 +26,7 @@ from .errors import (
     ValidationError,
     ZeroMultiplicity,
 )
-from .flags import CurveClass, DivisorClass, FlagModel, Positivity, pairing, to_nef
+from .flags import NO_FLAG, CurveClass, DivisorClass, FlagModel, Positivity, pairing, to_nef
 from .flags import _least, _positivity
 
 NO_RANK_MATCH = "no_rank_match"
@@ -139,6 +139,8 @@ def check_divisibility(model: FlagModel) -> DivisibilityStatus:
     >>> status.holds, [failure.reason for failure in status.failures]
     (False, ['no_rank_match', 'no_rank_match'])
     """
+    if model.flag_ranks is None:
+        raise ValidationError(NO_FLAG)
     witnesses = divisibility_witnesses(model.hn_steps, model.flag_ranks)
     return DivisibilityStatus(witnesses)
 

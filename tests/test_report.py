@@ -21,6 +21,7 @@ from flagcones import (
     RankNotInHNProfile,
     SemistableBundle,
     SummandSpec,
+    ValidationError,
     builtin_examples,
     parse_machine,
     render_human,
@@ -348,9 +349,9 @@ class TestRun:
         bookkeeping = flags_module._flag_bookkeeping
         calls = []
 
-        def counted(steps, ranks):
+        def counted(steps, profile, ranks):
             calls.append(ranks)
-            return bookkeeping(steps, ranks)
+            return bookkeeping(steps, profile, ranks)
 
         monkeypatch.setattr(flags_module, "_flag_bookkeeping", counted)
         doc = run(RANK7_B)
@@ -456,6 +457,15 @@ class TestMachineFormat:
     def test_round_trip_hn_only(self):
         doc = run_hn(config_for((0, 0, 0), (1,)))
         assert parse_machine(render_machine(doc)) == doc
+
+    def test_hn_only_model_has_no_flag(self):
+        doc = run_hn(config_for((1, 2, 0, 0, 0), (4, 3)))
+        model = parse_machine(render_machine(doc)).model
+        assert model.flag_ranks is None
+        with pytest.raises(ValidationError, match="the model has no flag ranks"):
+            check_divisibility(model)
+        with pytest.raises(ValidationError, match="the model has no flag ranks"):
+            full_report(DivisorClass(Basis.NEF, (1, 1, 1)), model)
 
     def test_round_trip_cones_only(self):
         doc = run_cones(config_for((1, 2, 0, 0, 0), (4, 3)))

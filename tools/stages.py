@@ -2,14 +2,15 @@
 
 Usage::
 
-    python3 tools/stages.py PARENT CHANGE --case many-small:2 --case large-g39:3 --rounds 12
+    python3 tools/stages.py PARENT CHANGE
 
 ``PARENT`` and ``CHANGE`` are checkouts, each with a ``src/flagcones``
 package.  Both packages are loaded into this one interpreter under their
-own names, so they share its start-up, allocator and caches.  Each round
-runs every item of the workload through both packages, item by item, so a
-drift in the machine's speed falls on both sides alike; the parent goes
-first on even rounds and the change on odd ones.  ``time.process_time`` is
+own names, so they share its start-up, allocator and caches.  The cases
+are ``CASES``, the in-process workloads with their seeds.  Each of the
+``ROUNDS`` rounds runs every item of a case through both packages, item
+by item, so a drift in the machine's speed falls on both sides alike; the
+parent goes first on even rounds and the change on odd ones.  ``time.process_time`` is
 taken around each stage: ``parse_config``, ``run``, ``render_machine``,
 ``parse_machine`` and ``render_human``.  The items come from
 ``bench/workloads.py`` of the checkout holding this script, so both sides
@@ -40,6 +41,8 @@ from time import process_time
 sys.dont_write_bytecode = True
 
 STAGES = ("parse_config", "run", "render_machine", "parse_machine", "render_human")
+CASES = (("many-small", 2), ("large-g39", 3))  # (workload, seed)
+ROUNDS = 12
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
@@ -85,11 +88,11 @@ def one_item(modules, text: str, totals: list[float]) -> str:
     return machine
 
 
-def paired(sides, texts: list[str], rounds: int) -> dict:
+def paired(sides, texts: list[str]) -> dict:
     """The in-process entry of one case; ``sides`` maps "parent" and "change"
     to their modules."""
     times = {"parent": [], "change": []}
-    for k in range(rounds):
+    for k in range(ROUNDS):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         totals = {name: [0.0] * len(STAGES) for name in order}
         gc.collect()
@@ -107,7 +110,7 @@ def paired(sides, texts: list[str], rounds: int) -> dict:
         pick = sum if stage is None else (lambda row: row[stage])
         return [pick(c) / pick(p) for p, c in zip(times["parent"], times["change"])]
 
-    entry = {"rounds": rounds}
+    entry = {"rounds": ROUNDS}
     for name, rows in times.items():
         entry[name] = {stage: ms(min(row[i] for row in rows)) for i, stage in enumerate(STAGES)}
         entry[name]["chain_min"] = ms(min(map(sum, rows)))
@@ -123,21 +126,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
     parser.add_argument("change", type=Path, help="checkout of the change")
-    parser.add_argument(
-        "--case", action="append", required=True, metavar="WORKLOAD:SEED",
-        help="an in-process workload and its seed, e.g. many-small:2; repeatable",
-    )
-    parser.add_argument("--rounds", type=int, default=12)
     args = parser.parse_args(argv)
-    if args.rounds < 1:
-        parser.error("--rounds must be at least 1")
     workloads = load_workloads()
-    cases = []
-    for case in args.case:
-        workload, _, seed = case.partition(":")
-        if workload not in workloads.WORKLOADS or workload == "cli-gallery" or not seed.isdigit():
-            parser.error(f"--case {case!r}: expected large-g39:SEED or many-small:SEED")
-        cases.append((workload, int(seed)))
     sides = {
         "parent": load_package(args.parent, "flagcones_parent"),
         "change": load_package(args.change, "flagcones_change"),
@@ -151,9 +141,9 @@ def main(argv=None) -> int:
             "ratios (tools/stages.py)"
         )
     }
-    for workload, seed in cases:
+    for workload, seed in CASES:
         texts = [item.text for item in workloads.generate(workload, seed)]
-        block[f"{workload.replace('-', '_')}_seed{seed}"] = paired(sides, texts, args.rounds)
+        block[f"{workload.replace('-', '_')}_seed{seed}"] = paired(sides, texts)
     print(json.dumps(block, indent=2))
     return 0
 
