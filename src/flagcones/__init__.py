@@ -13,7 +13,6 @@ it).  All arithmetic is exact rational.
 from .bundles import (
     DEFAULT_ORACLE_CAP,
     CurveInfo,
-    HNFiltration,
     SplitBundle,
     hn_brute_force_oracle,
     hn_filtration,
@@ -53,6 +52,7 @@ from .flags import (
     pairing,
     pairing_matrix,
     quotient_ranks,
+    quotient_slopes,
     to_nef,
 )
 from .report import (

@@ -82,82 +82,6 @@ class SplitBundle:
         return Fraction(self.degree, self.rank)
 
 
-@dataclass(frozen=True)
-class HNFiltration:
-    """Harder-Narasimhan filtration as cumulative ``(rank, degree)`` steps,
-    one int pair per subbundle.
-
-    Construction validates the two defining conditions: ranks strictly
-    increase, and the slopes of the successive quotients strictly
-    decrease, compared in integers (``p/q < r/s`` as ``p*s < r*q``, the
-    ranks being positive).  Length 1 means the bundle is semistable; that
-    is legal here and rejected only where a non-semistable bundle is
-    required.
-
-    >>> HNFiltration(((1, 2), (2, 3), (5, 3))).quotient_slopes()
-    (Fraction(2, 1), Fraction(1, 1), Fraction(0, 1))
-    """
-
-    steps: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        steps = tuple(self.steps)
-        if not steps:
-            raise ValidationError("a filtration needs at least one step")
-        object.__setattr__(self, "steps", steps)
-        previous_rank = previous_degree = 0
-        previous = None  # the previous quotient's (degree, rank)
-        for j, (rank, degree) in enumerate(steps, start=1):
-            _check_int(rank, "step rank")
-            _check_int(degree, "step degree")
-            if rank <= previous_rank:
-                raise NonIncreasingRank(
-                    j,
-                    f"step {j}: rank {rank} does not exceed "
-                    f"previous rank {previous_rank}",
-                )
-            current = (degree - previous_degree, rank - previous_rank)
-            if previous is not None and current[0] * previous[1] >= previous[0] * current[1]:
-                raise NonDecreasingSlope(
-                    j,
-                    f"step {j}: quotient slope {Fraction(*current)} is not below "
-                    f"previous quotient slope {Fraction(*previous)}",
-                )
-            previous_rank, previous_degree, previous = rank, degree, current
-
-    @property
-    def n(self) -> int:
-        """Rank of the full bundle."""
-        return self.steps[-1][0]
-
-    @property
-    def d(self) -> int:
-        """Number of filtration steps."""
-        return len(self.steps)
-
-    @property
-    def degree(self) -> int:
-        """Degree of the full bundle."""
-        return self.steps[-1][1]
-
-    @property
-    def slope(self) -> Fraction:
-        """Slope of the full bundle."""
-        return Fraction(self.degree, self.n)
-
-    @property
-    def is_semistable(self) -> bool:
-        return self.d == 1
-
-    def quotient_slopes(self) -> tuple[Fraction, ...]:
-        """Strictly decreasing slopes of the graded pieces."""
-        return tuple(
-            Fraction(degree - previous_degree, rank - previous_rank)
-            for (previous_rank, previous_degree), (rank, degree)
-            in zip(((0, 0), *self.steps), self.steps)
-        )
-
-
 def split_steps(summands: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     """Harder-Narasimhan steps of the split bundle with these
     ``(degree, multiplicity)`` summands: one step per distinct degree,
@@ -172,16 +96,18 @@ def split_steps(summands: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], .
     return tuple(zip(ranks, degrees))
 
 
-def hn_filtration(bundle: SplitBundle) -> HNFiltration:
-    """Harder-Narasimhan filtration of a split bundle; see :func:`split_steps`.
+def hn_filtration(bundle: SplitBundle) -> tuple[tuple[int, int], ...]:
+    """Checked Harder-Narasimhan steps of a split bundle; see :func:`split_steps`.
 
-    >>> hn_filtration(SplitBundle((1, 2, 0, 0, 0))).steps
+    >>> hn_filtration(SplitBundle((1, 2, 0, 0, 0)))
     ((1, 2), (2, 3), (5, 3))
     """
-    return HNFiltration(split_steps((degree, 1) for degree in bundle.summand_degrees))
+    return validate_hn(split_steps((degree, 1) for degree in bundle.summand_degrees))
 
 
-def hn_brute_force_oracle(bundle: SplitBundle, cap: int = DEFAULT_ORACLE_CAP) -> HNFiltration:
+def hn_brute_force_oracle(
+    bundle: SplitBundle, cap: int = DEFAULT_ORACLE_CAP
+) -> tuple[tuple[int, int], ...]:
     """Independent recomputation of the filtration by subset enumeration.
 
     At each level, the maximal destabilizing split subbundle is found by
@@ -212,23 +138,47 @@ def hn_brute_force_oracle(bundle: SplitBundle, cap: int = DEFAULT_ORACLE_CAP) ->
         steps.append((total_rank, total_degree))
         chosen = set(best_subset)
         remaining = [v for i, v in enumerate(remaining) if i not in chosen]
-    return HNFiltration(tuple(steps))
+    return validate_hn(steps)
 
 
-def validate_hn(steps: Iterable[Sequence[int]]) -> HNFiltration:
-    """Accept user-asserted filtration data as cumulative (rank, degree) pairs.
+def validate_hn(steps: Iterable[Sequence[int]]) -> tuple[tuple[int, int], ...]:
+    """The one check of Harder-Narasimhan steps, computed or user-asserted:
+    cumulative ``(rank, degree)`` pairs, returned as a tuple of int pairs.
 
-    This is the entry point for bundles that are not given as direct sums
-    of line bundles: the caller asserts the filtration, this function reads
-    each pair, and :class:`HNFiltration` checks it, naming the first bad step.
+    Ranks strictly increase and quotient slopes strictly decrease, compared
+    in integers (``p/q < r/s`` as ``p*s < r*q``, ranks being positive); the
+    first bad step is named.  One step (semistable) is legal here.
+
+    >>> validate_hn([[1, 2], [2, 3], [5, 3]])
+    ((1, 2), (2, 3), (5, 3))
     """
     pairs = []
-    for entry in steps:
+    previous_rank = previous_degree = 0
+    previous = None  # the previous quotient's (degree, rank)
+    for j, entry in enumerate(steps, start=1):
         try:
             rank, degree = entry
         except (TypeError, ValueError):
             raise ValidationError(
                 f"filtration step must be a (rank, degree) pair, got {entry!r}"
             ) from None
+        _check_int(rank, "step rank")
+        _check_int(degree, "step degree")
+        if rank <= previous_rank:
+            raise NonIncreasingRank(
+                j,
+                f"step {j}: rank {rank} does not exceed "
+                f"previous rank {previous_rank}",
+            )
+        current = (degree - previous_degree, rank - previous_rank)
+        if previous is not None and current[0] * previous[1] >= previous[0] * current[1]:
+            raise NonDecreasingSlope(
+                j,
+                f"step {j}: quotient slope {Fraction(*current)} is not below "
+                f"previous quotient slope {Fraction(*previous)}",
+            )
         pairs.append((rank, degree))
-    return HNFiltration(tuple(pairs))
+        previous_rank, previous_degree, previous = rank, degree, current
+    if not pairs:
+        raise ValidationError("a filtration needs at least one step")
+    return tuple(pairs)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .bundles import CurveInfo, HNFiltration, _check_int
+from .bundles import CurveInfo, _check_int, validate_hn
 from .errors import (
     BasisMismatch,
     NotStrictlyDecreasing,
@@ -108,6 +108,19 @@ def quotient_ranks(steps) -> tuple[int, ...]:
     return tuple([n - rank for rank, _ in steps[:-1]])
 
 
+def quotient_slopes(steps) -> tuple[Fraction, ...]:
+    """Slopes of the graded pieces of the filtration's ``(rank, degree)``
+    steps, strictly decreasing for a filtration.
+
+    >>> quotient_slopes(((1, 2), (2, 3), (5, 3)))
+    (Fraction(2, 1), Fraction(1, 1), Fraction(0, 1))
+    """
+    return tuple([
+        Fraction(degree - previous_degree, rank - previous_rank)
+        for (previous_rank, previous_degree), (rank, degree) in zip(((0, 0), *steps), steps)
+    ])
+
+
 def _flag_bookkeeping(steps, profile, requested):
     """What the filtration's ``(rank, degree)`` steps, their ``profile``
     (:func:`quotient_ranks`) and the requested quotient ranks fix: per rank ``r`` its 1-based filtration index ``k``
@@ -159,14 +172,15 @@ class FlagModel:
 
     The free facts are the curve, the filtration's ``(rank, degree)`` steps
     and the flag ranks, which are None when only the filtration was
-    requested.  The rest is derived: :class:`HNFiltration` checks the steps,
-    rank and degree are those of the last step, one step means semistable,
-    and the quotient ranks are the profile (:func:`quotient_ranks`).  Flag
-    ranks must be strictly decreasing and lie in the profile; they fix the
-    filtration indices, subspace dimensions, quotient degrees and fiber
-    dimension (:func:`_flag_bookkeeping`), the Picard rank ``gamma + 1``, the
-    total dimension (fiber plus one) and the dimensions note.  Without a
-    flag these are None and there are no notes.
+    requested; both are kept as tuples.  The rest is derived:
+    :func:`~flagcones.bundles.validate_hn` checks the steps, rank and degree
+    are those of the last step, one step means semistable, and the quotient
+    slopes and ranks are those of the graded pieces (:func:`quotient_slopes`,
+    :func:`quotient_ranks`).  Flag ranks must be strictly decreasing and lie
+    in the profile; they fix the filtration indices, subspace dimensions,
+    quotient degrees and fiber dimension (:func:`_flag_bookkeeping`), the
+    Picard rank ``gamma + 1``, the total dimension (fiber plus one) and the
+    dimensions note.  Without a flag these are None and there are no notes.
     """
 
     curve: CurveInfo
@@ -187,18 +201,22 @@ class FlagModel:
     notes: dict[str, str] = field(init=False, hash=False)  # a dict cannot be hashed
 
     def __post_init__(self):
-        hn, ranks = HNFiltration(self.hn_steps), self.flag_ranks
-        steps, flagged = hn.steps, ranks is not None
+        steps, ranks = validate_hn(self.hn_steps), self.flag_ranks
+        flagged = ranks is not None
         profile = quotient_ranks(steps)
         indices = dims = degrees = fiber = None
         if flagged:
+            ranks = tuple(ranks)
             indices, dims, degrees, fiber = _flag_bookkeeping(steps, profile, ranks)
-        derived = {
-            "rank": hn.n,
-            "degree": hn.degree,
-            "slope": hn.slope,
-            "semistable": hn.is_semistable,
-            "quotient_slopes": hn.quotient_slopes(),
+        n, degree = steps[-1]
+        values = {
+            "hn_steps": steps,
+            "flag_ranks": ranks,
+            "rank": n,
+            "degree": degree,
+            "slope": Fraction(degree, n),
+            "semistable": len(steps) == 1,
+            "quotient_slopes": quotient_slopes(steps),
             "quotient_ranks": profile,
             "hn_indices": indices,
             "subspace_dims": dims,
@@ -208,7 +226,7 @@ class FlagModel:
             "total_dimension": fiber + 1 if flagged else None,
             "notes": {"dimensions": DIMENSION_NOTE} if flagged else {},
         }
-        for name, value in derived.items():
+        for name, value in values.items():
             object.__setattr__(self, name, value)
 
     @property
@@ -218,9 +236,9 @@ class FlagModel:
         return len(self.flag_ranks)
 
 
-def build_model(hn: HNFiltration, requested, curve: CurveInfo = CurveInfo()) -> FlagModel:
-    """The flag model of ``hn`` over ``curve`` with the ``requested`` quotient ranks."""
-    return FlagModel(curve, hn.steps, tuple(requested))
+def build_model(steps, requested, curve: CurveInfo = CurveInfo()) -> FlagModel:
+    """The flag model of ``steps`` over ``curve`` with the ``requested`` quotient ranks."""
+    return FlagModel(curve, steps, tuple(requested))
 
 
 # every unit vector holds these two objects, so a document writes each once

@@ -18,7 +18,7 @@ from types import UnionType
 from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 from . import seshadri as sesh
-from .bundles import HNFiltration, split_steps, validate_hn
+from .bundles import split_steps
 from .config import ProblemConfig, _decode_once, _require_text, load_json, parse_rational
 from .errors import (
     EXIT_OK,
@@ -165,10 +165,9 @@ class ReportDocument:
 # pipeline
 
 
-def filtration_from_config(config: ProblemConfig) -> HNFiltration:
-    """Filtration of the configured bundle (computed or user-asserted)."""
-    steps = config.hn_steps if config.summands is None else split_steps(config.summands)
-    return validate_hn(steps)
+def filtration_from_config(config: ProblemConfig) -> tuple[tuple[int, int], ...]:
+    """Filtration steps of the configured bundle, unchecked: its model checks them."""
+    return config.hn_steps if config.summands is None else split_steps(config.summands)
 
 
 def model_from_config(config: ProblemConfig) -> FlagModel:
@@ -209,8 +208,7 @@ def _divisor_entry(
 
 def run_hn(config: ProblemConfig) -> ReportDocument:
     """Filtration-only report; the flag section of the config is ignored."""
-    hn = filtration_from_config(config)
-    return ReportDocument(SPEC_VERSION, FlagModel(config.curve, hn.steps))
+    return ReportDocument(SPEC_VERSION, FlagModel(config.curve, filtration_from_config(config)))
 
 
 def run_cones(config: ProblemConfig) -> ReportDocument:

@@ -17,7 +17,6 @@ from fractions import Fraction
 from . import seshadri as sesh
 from .bundles import (
     CurveInfo,
-    HNFiltration,
     SplitBundle,
     hn_brute_force_oracle,
     hn_filtration,
@@ -58,7 +57,7 @@ def random_nonsemistable_bundle(rng: random.Random, max_rank: int = 10) -> Split
             return SplitBundle(degrees)
 
 
-def random_filtration(rng: random.Random) -> HNFiltration:
+def random_filtration(rng: random.Random) -> tuple[tuple[int, int], ...]:
     """Random valid filtration of rank at most 14 with 2 to 7 steps, entered
     directly as cumulative steps."""
     d = rng.randint(2, 7)
@@ -92,13 +91,13 @@ def random_model(rng: random.Random, max_gamma: int = 5) -> FlagModel:
     """Random flag model, mixing split bundles and raw filtration input."""
     while True:
         if rng.random() < 0.5:
-            hn = hn_filtration(random_nonsemistable_bundle(rng))
+            steps = hn_filtration(random_nonsemistable_bundle(rng))
         else:
-            hn = random_filtration(rng)
-        profile = quotient_ranks(hn.steps)
+            steps = random_filtration(rng)
+        profile = quotient_ranks(steps)
         if profile:
             break
-    return build_model(hn, _random_flag(rng, profile, max_gamma))
+    return build_model(steps, _random_flag(rng, profile, max_gamma))
 
 
 def random_nef_divisor(rng: random.Random, gamma: int) -> DivisorClass:
@@ -129,9 +128,9 @@ def random_divisibility_model(
     that every flag choice satisfies the condition.
     """
     for _ in range(40):
-        hn = hn_filtration(random_nonsemistable_bundle(rng, max_rank=9))
-        profile = quotient_ranks(hn.steps)
-        ranks_present = dict(hn.steps)
+        steps = hn_filtration(random_nonsemistable_bundle(rng, max_rank=9))
+        profile = quotient_ranks(steps)
+        ranks_present = dict(steps)
         good = [
             r
             for r in profile
@@ -139,7 +138,7 @@ def random_divisibility_model(
         ]
         if not good:
             continue
-        model = build_model(hn, _random_flag(rng, good, max_gamma))
+        model = build_model(steps, _random_flag(rng, good, max_gamma))
         status = sesh.check_divisibility(model)
         if status.holds:
             return model, status
@@ -153,10 +152,10 @@ def random_divisibility_model(
         scale = rng.randint(1, 3)
         degrees = [scale * r * (2 * n - r) + r * rng.randint(-2, 2) for r in ranks]
         try:
-            hn = validate_hn(list(zip(ranks, degrees)))
+            steps = validate_hn(list(zip(ranks, degrees)))
         except ValidationError:
             continue
-        model = build_model(hn, _random_flag(rng, quotient_ranks(hn.steps), max_gamma))
+        model = build_model(steps, _random_flag(rng, quotient_ranks(steps), max_gamma))
         status = sesh.check_divisibility(model)
         if status.holds:
             return model, status
@@ -167,12 +166,12 @@ def random_config(rng: random.Random) -> ProblemConfig:
     if rng.random() < 0.5:
         bundle = random_nonsemistable_bundle(rng)
         summands = tuple(SummandSpec(d, m) for d, m in Counter(bundle.summand_degrees).items())
-        hn = hn_filtration(bundle)
+        steps = hn_filtration(bundle)
         kwargs = dict(summands=summands, hn_steps=None)
     else:
-        hn = random_filtration(rng)
-        kwargs = dict(summands=None, hn_steps=hn.steps)
-    flag = _random_flag(rng, quotient_ranks(hn.steps), 4)
+        steps = random_filtration(rng)
+        kwargs = dict(summands=None, hn_steps=steps)
+    flag = _random_flag(rng, quotient_ranks(steps), 4)
     divisors = []
     for j in range(rng.randint(0, 3)):
         d = random_divisor(rng, len(flag))

@@ -132,8 +132,8 @@ def check_divisibility(model: FlagModel) -> DivisibilityStatus:
 
     >>> from .bundles import SplitBundle, hn_filtration
     >>> from .flags import build_model
-    >>> hn = hn_filtration(SplitBundle((1, 2, 0, 0, 0)))
-    >>> status = check_divisibility(build_model(hn, (4, 3)))
+    >>> steps = hn_filtration(SplitBundle((1, 2, 0, 0, 0)))
+    >>> status = check_divisibility(build_model(steps, (4, 3)))
     >>> status.witnesses[0]
     Witness(index=1, flag_rank=4, hn_index=None, subbundle_degree=None, divisible=None)
     >>> status.holds, [failure.reason for failure in status.failures]

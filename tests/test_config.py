@@ -75,7 +75,7 @@ class TestParseConfig:
     def test_good_document(self):
         config = parse_config(as_text(GOOD))
         assert config.curve.genus == 0
-        assert filtration_from_config(config).steps == ((1, 2), (2, 3), (5, 3))
+        assert filtration_from_config(config) == ((1, 2), (2, 3), (5, 3))
         assert config.flag_ranks == (4, 3)
         divisor = config.divisors[0]
         assert divisor.name == "L"
@@ -85,7 +85,7 @@ class TestParseConfig:
     def test_multiplicity_expansion(self):
         data = dict(GOOD)
         data["bundle"] = {"summands": [{"degree": 2, "multiplicity": 3}]}
-        assert filtration_from_config(parse_config(as_text(data))).steps == ((3, 6),)
+        assert filtration_from_config(parse_config(as_text(data))) == ((3, 6),)
 
     def test_hn_steps_variant(self):
         data = dict(GOOD)

@@ -11,6 +11,7 @@ from flagcones import (
     CurveClass,
     CurveInfo,
     DivisorClass,
+    FlagModel,
     NotStrictlyDecreasing,
     Positivity,
     ProblemConfig,
@@ -39,23 +40,23 @@ HN7_B = hn_filtration(SplitBundle((8, 2, 0, 0, 0, -4, -5)))
 
 def model_section(hn, flag):
     """The model section of a cones document for these steps and flag ranks."""
-    config = ProblemConfig(CurveInfo(), summands=None, hn_steps=hn.steps, flag_ranks=tuple(flag))
+    config = ProblemConfig(CurveInfo(), summands=None, hn_steps=hn, flag_ranks=tuple(flag))
     return run_cones(config).model
 
 
 class TestQuotientRanks:
     def test_rank_five(self):
-        assert quotient_ranks(HN5_A.steps) == (4, 3)
+        assert quotient_ranks(HN5_A) == (4, 3)
 
     def test_two_steps(self):
-        assert quotient_ranks(validate_hn([(1, 0), (2, -1)]).steps) == (1,)
+        assert quotient_ranks(validate_hn([(1, 0), (2, -1)])) == (1,)
 
     def test_rank_seven(self):
         hn = hn_filtration(SplitBundle((3, 1, 0, 0, 0, -1, -2)))
-        assert quotient_ranks(hn.steps) == (6, 5, 2, 1)
+        assert quotient_ranks(hn) == (6, 5, 2, 1)
 
     def test_semistable_profile_is_empty(self):
-        assert quotient_ranks(validate_hn([(3, 0)]).steps) == ()
+        assert quotient_ranks(validate_hn([(3, 0)])) == ()
 
 
 class TestMakeFlagSpec:
@@ -267,6 +268,21 @@ class TestClassification:
     def test_rational_coordinates_accepted(self):
         divisor = DivisorClass(Basis.NEF, (Fraction(1, 3), Fraction(2, 7), 0))
         assert classify_divisor(divisor, self.model) is Positivity.NEF_NOT_AMPLE
+
+
+class TestModelInput:
+    def test_lists_are_kept_as_tuples(self):
+        listed = FlagModel(CurveInfo(), [[1, 2], [3, 3]], [2])
+        given = FlagModel(CurveInfo(), ((1, 2), (3, 3)), (2,))
+        assert listed.hn_steps == ((1, 2), (3, 3)) and listed.flag_ranks == (2,)
+        assert type(listed.flag_ranks) is tuple
+        assert all(type(step) is tuple for step in listed.hn_steps)
+        assert listed == given
+        assert hash(listed) == hash(given)
+
+    def test_bad_step_is_a_validation_error(self):
+        with pytest.raises(ValidationError, match=r"must be a \(rank, degree\) pair, got \(1, 2, 3\)"):
+            FlagModel(CurveInfo(), [(1, 2, 3)])
 
 
 class TestModelProperties:

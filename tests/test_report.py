@@ -343,6 +343,28 @@ class TestRun:
         full_report(nef[0], model)
         assert len(scans) == 2
 
+    def test_filtration_checked_once(self, monkeypatch):
+        import flagcones.bundles as bundles_module
+
+        check = bundles_module.validate_hn
+        calls = []
+
+        def counted(steps):
+            calls.append(steps)
+            return check(steps)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "flagcones" and getattr(module, "validate_hn", None) is check:
+                monkeypatch.setattr(module, "validate_hn", counted)
+        asserted = config_for((), (4, 1), hn_steps=((1, 4), (4, 4), (5, 3)))
+        for config in (RANK7_B, asserted):
+            calls.clear()
+            text = render_machine(run(config))
+            assert len(calls) == 1
+            calls.clear()
+            parse_machine(text)
+            assert len(calls) == 1
+
     def test_flag_bookkeeping_once_per_run(self, monkeypatch):
         import flagcones.flags as flags_module
 

@@ -47,7 +47,7 @@ def filtrations(rng):
         twisted = tuple(d + k for d in degrees)
         return hn_filtration(SplitBundle(tuple(degrees))), hn_filtration(SplitBundle(twisted)), k
     hn = random_filtration(rng)
-    twisted = validate_hn([(rank, degree + k * rank) for rank, degree in hn.steps])
+    twisted = validate_hn([(rank, degree + k * rank) for rank, degree in hn])
     return hn, twisted, k
 
 
@@ -66,7 +66,7 @@ def test_twist_invariance(seed):
     rng = random.Random(seed)
     for _ in range(CASES_PER_SEED):
         hn, twisted_hn, k = filtrations(rng)
-        profile = [hn.n - rank for rank, _ in hn.steps[:-1]]
+        profile = [hn[-1][0] - rank for rank, _ in hn[:-1]]
         flag = sorted(rng.sample(profile, rng.randint(1, len(profile))), reverse=True)
         model, twisted = build_model(hn, flag), build_model(twisted_hn, flag)
         assert twisted.quotient_degrees == tuple(
@@ -80,9 +80,9 @@ def test_twist_invariance(seed):
         for _ in range(4):
             coords = [rng.choice(COORDS) for _ in range(len(flag) + 1)]
             nef = DivisorClass(Basis.NEF, coords)
-            assert evaluate(nef, model) == evaluate(nef, twisted), (hn.steps, flag, k, coords)
+            assert evaluate(nef, model) == evaluate(nef, twisted), (hn, flag, k, coords)
 
             shift = k * sum(c * r for c, r in zip(coords, flag))
             before = DivisorClass(Basis.PLUECKER, coords)
             after = DivisorClass(Basis.PLUECKER, (*coords[:-1], coords[-1] - shift))
-            assert evaluate(before, model) == evaluate(after, twisted), (hn.steps, flag, k, coords)
+            assert evaluate(before, model) == evaluate(after, twisted), (hn, flag, k, coords)
