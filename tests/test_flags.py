@@ -29,6 +29,7 @@ from flagcones import (
     pairing_matrix,
     quotient_ranks,
     run_cones,
+    to_nef,
     validate_hn,
 )
 from flagcones.selftest import random_divisor, random_model
@@ -309,3 +310,11 @@ class TestDivisorClassGuards:
         a = DivisorClass(Basis.NEF, (1, 0), name="x", label="one")
         b = DivisorClass(Basis.NEF, (1, 0), name="y", label="two")
         assert a == b
+
+    def test_basis_text_read_as_the_tag(self):
+        # the conversions test the tag by identity, so the text must become it
+        model = build_model(HN5_A, [4, 3])
+        for text, basis in (("nef", Basis.NEF), ("pluecker", Basis.PLUECKER)):
+            divisor = DivisorClass(text, (1, 1, 1))
+            assert divisor.basis is basis
+            assert to_nef(divisor, model) == to_nef(DivisorClass(basis, (1, 1, 1)), model)
