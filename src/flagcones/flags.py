@@ -238,7 +238,7 @@ class FlagModel:
 
 def build_model(steps, requested, curve: CurveInfo = CurveInfo()) -> FlagModel:
     """The flag model of ``steps`` over ``curve`` with the ``requested`` quotient ranks."""
-    return FlagModel(curve, steps, tuple(requested))
+    return FlagModel(curve, steps, requested)
 
 
 # every unit vector holds these two objects, so a document writes each once

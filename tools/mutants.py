@@ -3,7 +3,7 @@
 Usage::
 
     python3 tools/mutants.py --list src/flagcones/bundles.py src/flagcones/flags.py
-    python3 tools/mutants.py src/flagcones/bundles.py [--seed 0] [--timeout 240] [-- PYTEST ARGS]
+    python3 tools/mutants.py src/flagcones/bundles.py
 
 Each mutant is one edit of one module's source:
 
@@ -24,12 +24,12 @@ temporary directory, and the mutants run one after another there: the
 mutant's file is written into the copy, the tests run in one child process
 and the file is put back.  The tests are tier-1 (``python -m pytest -q -x
 --continue-on-collection-errors`` from the copy's root, ``src`` on the
-path, no bytecode) or the pytest arguments after ``--``; hypothesis draws
-from ``--seed`` and its example database is cleared before each run, so a
-mutant's result does not depend on the ones before it.  The unmutated copy
+path, no bytecode); hypothesis and the hash seed draw from ``SEED`` and
+the example database is cleared before each run, so a mutant's result
+does not depend on the ones before it.  The unmutated copy
 runs first and must pass.  Each mutant's JSON line gets its ``status``:
 ``killed`` (the tests failed), ``survived`` (they passed) or ``timeout``
-(the whole process group is killed after ``--timeout`` seconds); a last
+(the whole process group is killed after ``TIMEOUT`` seconds); a last
 line sums them up.  Nothing in the checkout is written.
 
 Standard library only.
@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import argparse
 import ast
-import importlib.util
 import json
 import os
 import re
@@ -52,6 +51,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SEED = 0
+TIMEOUT = 240.0  # seconds per test run
 SWAPS = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
     ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Add: ast.Sub, ast.Sub: ast.Add,
@@ -180,7 +181,7 @@ def _ignore(directory: str, names: list[str]) -> set[str]:
     return skipped
 
 
-def run_tests(copy: Path, args: list[str], timeout: float, env: dict) -> tuple[str, float]:
+def run_tests(copy: Path, args: list[str], env: dict) -> tuple[str, float]:
     """Status of one test run in ``copy``, and its wall seconds."""
     shutil.rmtree(copy / ".hypothesis", ignore_errors=True)
     start = time.monotonic()
@@ -193,7 +194,7 @@ def run_tests(copy: Path, args: list[str], timeout: float, env: dict) -> tuple[s
         start_new_session=True,
     )
     try:
-        code = child.wait(timeout=timeout)
+        code = child.wait(timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         os.killpg(child.pid, signal.SIGKILL)
         child.wait()
@@ -202,16 +203,10 @@ def run_tests(copy: Path, args: list[str], timeout: float, env: dict) -> tuple[s
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        description=__doc__.split("\n\n")[0], epilog="Arguments after -- go to pytest."
-    )
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("modules", nargs="+", type=Path, help="module files of this checkout")
     parser.add_argument("--list", action="store_true", help="print the mutants and run nothing")
-    parser.add_argument("--seed", type=int, default=0, help="hypothesis and hash seed")
-    parser.add_argument("--timeout", type=float, default=240.0, help="seconds per test run")
-    argv = sys.argv[1:] if argv is None else list(argv)
-    cut = argv.index("--") if "--" in argv else len(argv)
-    args, selection = parser.parse_args(argv[:cut]), argv[cut + 1:]
+    args = parser.parse_args(argv)
 
     found = []
     for module in args.modules:
@@ -228,17 +223,18 @@ def main(argv=None) -> int:
             show(mutant)
         return 0
 
-    pytest_args = ["-q", "-x", "-p", "no:cacheprovider", *(selection or ["--continue-on-collection-errors"])]
-    if importlib.util.find_spec("hypothesis") is not None:
-        pytest_args.append(f"--hypothesis-seed={args.seed}")
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONHASHSEED=str(args.seed))
+    pytest_args = [
+        "-q", "-x", "-p", "no:cacheprovider", "--continue-on-collection-errors",
+        f"--hypothesis-seed={SEED}",
+    ]
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONHASHSEED=str(SEED))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))
     counts = {"killed": 0, "survived": 0, "timeout": 0}
     began = time.monotonic()
     with tempfile.TemporaryDirectory(prefix="mutants-") as scratch:
         copy = Path(scratch) / "checkout"
         shutil.copytree(ROOT, copy, ignore=_ignore)
-        status, _ = run_tests(copy, pytest_args, args.timeout, env)
+        status, _ = run_tests(copy, pytest_args, env)
         if status != "survived":
             print(f"pytest {' '.join(pytest_args)} did not pass unmutated ({status})", file=sys.stderr)
             return 2
@@ -247,7 +243,7 @@ def main(argv=None) -> int:
             original = target.read_bytes()
             target.write_bytes(mutant["text"])
             try:
-                status, seconds = run_tests(copy, pytest_args, args.timeout, env)
+                status, seconds = run_tests(copy, pytest_args, env)
             finally:
                 target.write_bytes(original)
             counts[status] += 1
