@@ -13,16 +13,17 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import (
     CapExceeded,
+    InternalCheckFailure,
     NonDecreasingSlope,
     NonIncreasingRank,
     ValidationError,
 )
+from .records import record
 
 #: Default rank cap for the brute-force oracle (2^rank subsets per level).
 DEFAULT_ORACLE_CAP = 12
@@ -34,7 +35,7 @@ def _check_int(value, what: str) -> int:
     return value
 
 
-@dataclass(frozen=True)
+@record
 class CurveInfo:
     """Base curve metadata.
 
@@ -51,7 +52,7 @@ class CurveInfo:
             raise ValidationError(f"genus must be >= 0, got {self.genus}")
 
 
-@dataclass(frozen=True)
+@record
 class SplitBundle:
     """A direct sum of line bundles, one integer degree per summand.
 
@@ -133,6 +134,8 @@ def hn_brute_force_oracle(
                 if best_key is None or key > best_key:
                     best_key = key
                     best_subset = subset
+        if not best_subset:  # the remaining summands would never shrink
+            raise InternalCheckFailure(f"no summand picked from {remaining}")
         total_rank += len(best_subset)
         total_degree += sum(remaining[i] for i in best_subset)
         steps.append((total_rank, total_degree))

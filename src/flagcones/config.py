@@ -23,12 +23,12 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bundles import CurveInfo, _check_int
 from .errors import ParseError, ValidationError
 from .flags import Basis, DivisorClass
+from .records import field, record
 
 _RATIONAL = re.compile(r"([+-]?\d+)(?:/(\d+))?\Z")
 
@@ -152,7 +152,7 @@ def _require_array(value, location: str) -> list:
     return value
 
 
-@dataclass(frozen=True)
+@record
 class SummandSpec:
     """A summand degree with its multiplicity; unpacks as that pair."""
 
@@ -168,7 +168,7 @@ class SummandSpec:
         return iter((self.degree, self.multiplicity))
 
 
-@dataclass(frozen=True)
+@record
 class ProblemConfig:
     """One validated problem: curve, bundle data, flag choice, divisors.
 

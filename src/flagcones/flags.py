@@ -22,7 +22,6 @@ flag.  Generators of the two cones pair as the identity matrix.
 
 import enum
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -34,6 +33,7 @@ from .errors import (
     SemistableBundle,
     ValidationError,
 )
+from .records import field, record
 
 
 class Basis(str, enum.Enum):
@@ -66,7 +66,7 @@ def _as_coords(values) -> tuple[Fraction, ...]:
     return coords
 
 
-@dataclass(frozen=True)
+@record
 class DivisorClass:
     """Divisor class as exact coordinates against a tagged generator basis.
 
@@ -85,7 +85,7 @@ class DivisorClass:
         object.__setattr__(self, "coords", _as_coords(self.coords))
 
 
-@dataclass(frozen=True)
+@record
 class CurveClass:
     """Curve class as exact coordinates against (line_1..line_gamma, section)."""
 
@@ -165,7 +165,7 @@ DIMENSION_NOTE = (
 )
 
 
-@dataclass(frozen=True)
+@record
 class FlagModel:
     """The flag bundle over the curve; it is the ``model`` section of a
     machine document, its fields in the document's key order.

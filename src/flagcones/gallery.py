@@ -10,17 +10,17 @@ all-ones ample class so that reports show Seshadri data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bundles import CurveInfo
 from .config import ProblemConfig, SummandSpec
 from .errors import ValidationError
 from .flags import Basis, DivisorClass
+from .records import field, record
 from .report import ReportDocument, run
 
 
-@dataclass(frozen=True)
+@record
 class Digest:
     """Exact fingerprint of one fixture's expected output."""
 
@@ -30,14 +30,14 @@ class Digest:
     assumption_holds: bool
 
 
-@dataclass(frozen=True)
+@record
 class Fixture:
     name: str
     config: ProblemConfig
     digest: Digest
 
 
-@dataclass(frozen=True)
+@record
 class FixtureOutcome:
     """One entry of ``examples --machine``."""
 

@@ -7,11 +7,9 @@ followed by :func:`parse_machine` reproduces the document exactly, and
 identical configs produce byte-identical output.
 """
 
-import dataclasses
 import functools
 import itertools
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from types import UnionType
@@ -40,10 +38,11 @@ from .flags import (
     pairing_matrix,
     to_nef,
 )
+from .records import field, fields, record
 
 SPEC_VERSION = 1
 
-@dataclass(frozen=True)
+@record
 class DivisorGeneratorInfo:
     name: str
     label: str
@@ -51,7 +50,7 @@ class DivisorGeneratorInfo:
     pluecker: tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
+@record
 class CurveGeneratorInfo:
     name: str
     label: str
@@ -70,7 +69,7 @@ def _identity_mismatch(matrix, size: int) -> str:
     return ""
 
 
-@dataclass(frozen=True)
+@record
 class ConesSection:
     nef_generators: tuple[DivisorGeneratorInfo, ...]
     curve_generators: tuple[CurveGeneratorInfo, ...]
@@ -87,7 +86,7 @@ class ConesSection:
             raise ValidationError(problem)
 
 
-@dataclass(frozen=True)
+@record
 class ErrorInfo:
     type: str
     message: str
@@ -96,7 +95,7 @@ class ErrorInfo:
 _NEF, _NOT_NEF = Basis.NEF.value, Positivity.NOT_NEF.value
 
 
-@dataclass(frozen=True)
+@record
 class DivisorEntry:
     """Per-divisor result; ``error`` is set instead of ``seshadri`` when
     the class could not be evaluated, and the input is echoed back.
@@ -136,7 +135,7 @@ class DivisorEntry:
             raise ValidationError("a seshadri record needs a nef class")
 
 
-@dataclass(frozen=True)
+@record
 class ReportDocument:
     """A machine document.  The sections must agree with the model: the
     witnesses are those of its flag ranks and filtration steps, and the
@@ -242,7 +241,7 @@ def worst_exit_code(doc: ReportDocument) -> int:
 # ---------------------------------------------------------------------------
 # machine format
 #
-# One codec serves every machine document: it is derived from the dataclass
+# One codec serves every machine document: it is derived from the record
 # fields and their type hints, compiled once per type.  JSON keys are the
 # field names unless a field carries ``metadata={"json": key}``, and one keyed
 # ``None`` (last, with a default) is neither written nor read.  A field with
@@ -383,13 +382,13 @@ def _layout(pad: str, brackets: str, keys: tuple[str, ...]) -> tuple[str, tuple[
 
 def _record(cls):
     hints = get_type_hints(cls)
-    keyed = [(f.metadata.get("json", f.name), f) for f in dataclasses.fields(cls)]
-    fields = [(key, f, *_codec(hints[f.name])) for key, f in keyed if key is not None]
-    keys = {key for key, *_ in fields}
-    heads = tuple(encode_basestring_ascii(key) + ": " for key, *_ in fields)
-    writers = [(f.name, enc) for _, f, enc, _ in fields]
-    given = [i for i, (_, f, *_) in enumerate(fields) if f.init]
-    derived = [(i, key, f.name) for i, (key, f, *_) in enumerate(fields) if not f.init]
+    keyed = [(f.metadata.get("json", f.name), f) for f in fields(cls)]
+    entries = [(key, f, *_codec(hints[f.name])) for key, f in keyed if key is not None]
+    keys = {key for key, *_ in entries}
+    heads = tuple(encode_basestring_ascii(key) + ": " for key, *_ in entries)
+    writers = [(f.name, enc) for _, f, enc, _ in entries]
+    given = [i for i, (_, f, *_) in enumerate(entries) if f.init]
+    derived = [(i, key, f.name) for i, (key, f, *_) in enumerate(entries) if not f.init]
 
     def emit(value, pad, texts, out):
         inner, items, close = _layout(pad, "{}", heads)
@@ -400,13 +399,13 @@ def _record(cls):
 
     def decode(value, memo):
         if _checked(dict, value).keys() != keys:
-            missing = [key for key, *_ in fields if key not in value]
+            missing = [key for key, *_ in entries if key not in value]
             if missing:
                 raise ParseError("missing key", f".{missing[0]}")
             raise ParseError("unknown key", f".{_decode_text(min(value.keys() - keys))}")
         items = []
         try:
-            for key, _, _, dec in fields:
+            for key, _, _, dec in entries:
                 items.append(dec(value[key], memo))
         except ParseError as exc:
             raise _at(exc, key) from None
@@ -427,7 +426,7 @@ def _record(cls):
 def _codec(tp):
     """``(emit, decode)`` for one document type, compiled once.
 
-    Supported: ``Fraction``, ``int``, ``str``, ``bool``, dataclasses,
+    Supported: ``Fraction``, ``int``, ``str``, ``bool``, records,
     ``Optional[X]``, ``tuple[X, ...]``, ``dict[str, str]`` or
     ``Mapping[str, str]``, and fixed tuples.
     """
@@ -437,7 +436,7 @@ def _codec(tp):
         write = _WRITERS[tp]
         decode = _decode_text if tp is str else lambda value, memo: _checked(tp, value)
         return (lambda value, pad, texts, out: out.append(write(value))), decode
-    if dataclasses.is_dataclass(tp):
+    if fields(tp):
         return _record(tp)
     origin, args = get_origin(tp), get_args(tp)
     if origin in (Union, UnionType):

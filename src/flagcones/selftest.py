@@ -11,7 +11,6 @@ import itertools
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import seshadri as sesh
@@ -34,6 +33,7 @@ from .flags import (
     quotient_ranks,
 )
 from .gallery import builtin_examples, check_fixture
+from .records import record
 from .report import assert_duality, parse_machine, render_machine, run
 
 
@@ -188,7 +188,7 @@ def random_config(rng: random.Random) -> ProblemConfig:
 # checks
 
 
-@dataclass(frozen=True)
+@record
 class CheckResult:
     name: str
     trials: int

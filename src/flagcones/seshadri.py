@@ -15,7 +15,6 @@ unknown.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Optional
@@ -28,6 +27,7 @@ from .errors import (
 )
 from .flags import NO_FLAG, CurveClass, DivisorClass, FlagModel, Positivity, pairing, to_nef
 from .flags import _least, _positivity
+from .records import field, record
 
 NO_RANK_MATCH = "no_rank_match"
 NOT_DIVISIBLE = "not_divisible"
@@ -69,7 +69,7 @@ _RULE_NOTES = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class Witness:
     """Outcome of the divisibility condition at one flag position.
 
@@ -95,7 +95,7 @@ class Witness:
         object.__setattr__(self, "divisible", None if degree is None else degree % rank == 0)
 
 
-@dataclass(frozen=True)
+@record
 class Failure:
     """Why the divisibility condition fails at one flag position."""
 
@@ -103,7 +103,7 @@ class Failure:
     reason: str
 
 
-@dataclass(frozen=True)
+@record
 class DivisibilityStatus:
     """Outcome of the divisibility condition check, one witness per flag
     position; it is the ``assumption`` section of a machine document.
@@ -227,7 +227,7 @@ def degree_gaps(model: FlagModel, status: DivisibilityStatus) -> tuple[int, ...]
     )
 
 
-@dataclass(frozen=True)
+@record
 class SeshadriReport:
     """All Seshadri data for one nef divisor class; it is the ``seshadri``
     record of a machine document, which does not write ``divisor``.

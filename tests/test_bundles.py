@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -10,12 +11,14 @@ from flagcones import (
     CapExceeded,
     CurveInfo,
     FlagModel,
+    InternalCheckFailure,
     NonDecreasingSlope,
     NonIncreasingRank,
     ParseError,
     ProblemConfig,
     SplitBundle,
     ValidationError,
+    bundles,
     hn_brute_force_oracle,
     hn_filtration,
     parse_machine,
@@ -145,6 +148,13 @@ class TestOracle:
             hn_brute_force_oracle(SplitBundle((0,) * 13))
         # a custom cap is honored
         hn_brute_force_oracle(SplitBundle((1, 0) + (0,) * 11), cap=13)
+
+    def test_level_without_a_summand(self, monkeypatch):
+        # no subset to pick from would leave the remaining summands as they
+        # are, level after level; the oracle must stop instead
+        monkeypatch.setattr(bundles, "itertools", SimpleNamespace(combinations=lambda *args: iter(())))
+        with pytest.raises(InternalCheckFailure, match=r"no summand picked from \[1, 0\]"):
+            hn_brute_force_oracle(SplitBundle((1, 0)))
 
     @given(degree_lists)
     @settings(max_examples=150, deadline=None)

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import itertools
 import json
 import pickle
@@ -32,6 +31,7 @@ from flagcones import (
 )
 from flagcones.cli import main
 from flagcones.gallery import Digest
+from flagcones.records import fields
 from flagcones.report import emit, from_json, model_from_config, worst_exit_code
 from flagcones.seshadri import SeshadriReport, check_divisibility, full_report
 from flagcones.selftest import random_config
@@ -45,6 +45,10 @@ def config_for(degrees, flag, divisors=(), hn_steps=None):
         flag_ranks=tuple(flag),
         divisors=tuple(divisors),
     )
+
+
+def with_divisors(config, divisors):
+    return ProblemConfig(config.curve, config.summands, config.hn_steps, config.flag_ranks, divisors)
 
 
 RANK7_B = config_for(
@@ -300,7 +304,7 @@ class TestRun:
     def test_coordinate_count_message(self, basis, count):
         # RANK7_B has gamma = 4, so a class needs gamma + 1 = 5 coordinates
         divisor = DivisorClass(basis, (1,) * count, name="L")
-        entry = run(dataclasses.replace(RANK7_B, divisors=(divisor,))).divisors[0]
+        entry = run(with_divisors(RANK7_B, (divisor,))).divisors[0]
         error = ("ValidationError", f"expected 5 coordinates, got {count}")
         assert (entry.error.type, entry.error.message) == error
 
@@ -395,7 +399,7 @@ class TestRun:
             if name.startswith("flagcones") and getattr(module, "classify_divisor", None) is classify:
                 monkeypatch.setattr(module, "classify_divisor", counted)
         edge = DivisorClass(Basis.NEF, (0, 1, 1), name="edge")
-        config = dataclasses.replace(MIXED, divisors=(*MIXED.divisors, edge))
+        config = with_divisors(MIXED, (*MIXED.divisors, edge))
         doc = run(config)
         assert calls == []
         model = model_from_config(config)
@@ -638,7 +642,7 @@ def repeating(pool):
         for k in range(10)
         for basis in (Basis.NEF, Basis.PLUECKER)
     )
-    return dataclasses.replace(RANK7_B, divisors=divisors)
+    return with_divisors(RANK7_B, divisors)
 
 
 POOL_A = (Fraction(1, 2), Fraction(3), Fraction(7, 3), Fraction(0), Fraction(5, 4))
@@ -651,9 +655,9 @@ def rebuilt(value, make):
         return make(value)
     if type(value) is tuple:
         return tuple(rebuilt(item, make) for item in value)
-    if dataclasses.is_dataclass(value):
-        fields = [f for f in dataclasses.fields(value) if f.init]
-        return dataclasses.replace(value, **{f.name: rebuilt(getattr(value, f.name), make) for f in fields})
+    if fields(value):
+        given = [f.name for f in fields(value) if f.init]
+        return type(value)(**{name: rebuilt(getattr(value, name), make) for name in given})
     return value
 
 
