@@ -19,7 +19,7 @@ from .bundles import (
     split_steps,
     validate_hn,
 )
-from .config import ProblemConfig, SummandSpec, parse_config, parse_rational
+from .config import ProblemConfig, parse_config, parse_rational
 from .errors import (
     BasisMismatch,
     CapExceeded,

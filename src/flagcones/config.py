@@ -13,7 +13,8 @@ Example::
 
 The bundle is given either by ``summands`` (degree + multiplicity, so
 rank-3 trivial summands need not be repeated) or by ``hn_steps``
-(cumulative ``[rank, degree]`` pairs asserted by the user).  Rationals
+(cumulative ``[rank, degree]`` pairs asserted by the user); either way
+the config holds the filtration steps only.  Rationals
 are integers or quoted ``"p/q"`` strings; floats are rejected so that no
 inexact value can enter.
 """
@@ -25,7 +26,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .bundles import CurveInfo, _check_int
+from .bundles import CurveInfo, split_steps
 from .errors import ParseError, ValidationError
 from .flags import Basis, DivisorClass
 from .records import field, record
@@ -153,37 +154,17 @@ def _require_array(value, location: str) -> list:
 
 
 @record
-class SummandSpec:
-    """A summand degree with its multiplicity; unpacks as that pair."""
-
-    degree: int
-    multiplicity: int
-
-    def __post_init__(self):
-        _check_int(self.degree, "summand degree")
-        if _check_int(self.multiplicity, "multiplicity") < 1:
-            raise ValidationError(f"multiplicity must be >= 1, got {self.multiplicity}")
-
-    def __iter__(self):
-        return iter((self.degree, self.multiplicity))
-
-
-@record
 class ProblemConfig:
-    """One validated problem: curve, bundle data, flag choice, divisors.
+    """One problem: curve, the bundle's filtration steps, flag choice, divisors.
 
-    Exactly one of ``summands`` / ``hn_steps`` is set.
+    The steps are left unchecked here; the :class:`~flagcones.flags.FlagModel`
+    built from them checks them.
     """
 
     curve: CurveInfo
-    summands: tuple[SummandSpec, ...] | None
-    hn_steps: tuple[tuple[int, int], ...] | None
+    hn_steps: tuple[tuple[int, int], ...]
     flag_ranks: tuple[int, ...]
     divisors: tuple[DivisorClass, ...] = field(default=())
-
-    def __post_init__(self):
-        if (self.summands is None) == (self.hn_steps is None):
-            raise ValidationError("bundle must have exactly one of 'summands' or 'hn_steps'")
 
 
 def _built(make, where: str, *args):
@@ -205,14 +186,17 @@ def _parse_curve(data) -> CurveInfo:
     return _built(CurveInfo, "curve", genus, _require_text(label, "curve.label"))
 
 
-def _parse_bundle(data):
+def _parse_bundle(data) -> tuple[tuple[int, int], ...]:
+    """The bundle's filtration steps: ``hn_steps`` as given, or those of
+    the split bundle with the given ``summands``."""
     obj = _require_object(data, "bundle", {"summands", "hn_steps"})
-    summands = steps = None
+    if ("summands" in obj) == ("hn_steps" in obj):
+        raise ValidationError("bundle must have exactly one of 'summands' or 'hn_steps'")
     if "summands" in obj:
         entries = _require_array(obj["summands"], "bundle.summands")
         if not entries:
             raise ValidationError("bundle.summands must not be empty")
-        summands = []
+        pairs = []
         for pos, entry in enumerate(entries):
             where = f"bundle.summands[{pos}]"
             item = _require_object(entry, where, {"degree", "multiplicity"})
@@ -222,23 +206,23 @@ def _parse_bundle(data):
             multiplicity = _require_int(
                 item.get("multiplicity", 1), f"{where}.multiplicity"
             )
-            summands.append(_built(SummandSpec, where, degree, multiplicity))
-        summands = tuple(summands)
-    if "hn_steps" in obj:
-        entries = _require_array(obj["hn_steps"], "bundle.hn_steps")
-        if not entries:
-            raise ValidationError("bundle.hn_steps must not be empty")
-        steps = []
-        for pos, entry in enumerate(entries):
-            where = f"bundle.hn_steps[{pos}]"
-            pair = _require_array(entry, where)
-            if len(pair) != 2:
-                raise ValidationError(f"{where}: expected [rank, degree]")
-            steps.append(
-                (_require_int(pair[0], f"{where}[0]"), _require_int(pair[1], f"{where}[1]"))
-            )
-        steps = tuple(steps)
-    return summands, steps
+            if multiplicity < 1:
+                raise ValidationError(f"{where}: multiplicity must be >= 1, got {multiplicity}")
+            pairs.append((degree, multiplicity))
+        return split_steps(pairs)
+    entries = _require_array(obj["hn_steps"], "bundle.hn_steps")
+    if not entries:
+        raise ValidationError("bundle.hn_steps must not be empty")
+    steps = []
+    for pos, entry in enumerate(entries):
+        where = f"bundle.hn_steps[{pos}]"
+        pair = _require_array(entry, where)
+        if len(pair) != 2:
+            raise ValidationError(f"{where}: expected [rank, degree]")
+        steps.append(
+            (_require_int(pair[0], f"{where}[0]"), _require_int(pair[1], f"{where}[1]"))
+        )
+    return tuple(steps)
 
 
 def _parse_flag(data) -> tuple[int, ...]:
@@ -297,11 +281,9 @@ def parse_config(text: str) -> ProblemConfig:
         raise ValidationError("document: missing 'bundle'")
     if "flag" not in root:
         raise ValidationError("document: missing 'flag'")
-    summands, hn_steps = _parse_bundle(root["bundle"])
     return ProblemConfig(
         curve=_parse_curve(root.get("curve")),
-        summands=summands,
-        hn_steps=hn_steps,
+        hn_steps=_parse_bundle(root["bundle"]),
         flag_ranks=_parse_flag(root["flag"]),
         divisors=_parse_divisors(root.get("divisors")),
     )

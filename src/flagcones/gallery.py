@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .bundles import CurveInfo
-from .config import ProblemConfig, SummandSpec
+from .bundles import CurveInfo, split_steps
+from .config import ProblemConfig
 from .errors import ValidationError
 from .flags import Basis, DivisorClass
 from .records import field, record
@@ -60,13 +60,11 @@ def digest_of(doc: ReportDocument) -> Digest:
 
 
 def _fixture(name, degrees, flag_ranks, hn_steps, slope, holds) -> Fixture:
-    summands = tuple(SummandSpec(d, m) for d, m in degrees)
     gamma = len(flag_ranks)
     unit = DivisorClass(Basis.NEF, (1,) * (gamma + 1), name="ample-unit")
     config = ProblemConfig(
         curve=CurveInfo(0, "X"),
-        summands=summands,
-        hn_steps=None,
+        hn_steps=split_steps(degrees),
         flag_ranks=tuple(flag_ranks),
         divisors=(unit,),
     )

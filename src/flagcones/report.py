@@ -16,7 +16,6 @@ from types import UnionType
 from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 from . import seshadri as sesh
-from .bundles import split_steps
 from .config import ProblemConfig, _decode_once, _require_text, load_json, parse_rational
 from .errors import (
     EXIT_OK,
@@ -164,13 +163,8 @@ class ReportDocument:
 # pipeline
 
 
-def filtration_from_config(config: ProblemConfig) -> tuple[tuple[int, int], ...]:
-    """Filtration steps of the configured bundle, unchecked: its model checks them."""
-    return config.hn_steps if config.summands is None else split_steps(config.summands)
-
-
 def model_from_config(config: ProblemConfig) -> FlagModel:
-    return build_model(filtration_from_config(config), config.flag_ranks, config.curve)
+    return build_model(config.hn_steps, config.flag_ranks, config.curve)
 
 
 def assert_duality(model: FlagModel) -> ConesSection:
@@ -207,7 +201,7 @@ def _divisor_entry(
 
 def run_hn(config: ProblemConfig) -> ReportDocument:
     """Filtration-only report; the flag section of the config is ignored."""
-    return ReportDocument(SPEC_VERSION, FlagModel(config.curve, filtration_from_config(config)))
+    return ReportDocument(SPEC_VERSION, FlagModel(config.curve, config.hn_steps))
 
 
 def run_cones(config: ProblemConfig) -> ReportDocument:

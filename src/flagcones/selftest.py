@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from collections import Counter
 from fractions import Fraction
 
 from . import seshadri as sesh
@@ -21,7 +20,7 @@ from .bundles import (
     hn_filtration,
     validate_hn,
 )
-from .config import ProblemConfig, SummandSpec
+from .config import ProblemConfig
 from .errors import InternalCheckFailure, ValidationError
 from .flags import (
     Basis,
@@ -164,13 +163,9 @@ def random_divisibility_model(
 def random_config(rng: random.Random) -> ProblemConfig:
     """Random full problem config, for end-to-end round-trip checks."""
     if rng.random() < 0.5:
-        bundle = random_nonsemistable_bundle(rng)
-        summands = tuple(SummandSpec(d, m) for d, m in Counter(bundle.summand_degrees).items())
-        steps = hn_filtration(bundle)
-        kwargs = dict(summands=summands, hn_steps=None)
+        steps = hn_filtration(random_nonsemistable_bundle(rng))
     else:
         steps = random_filtration(rng)
-        kwargs = dict(summands=None, hn_steps=steps)
     flag = _random_flag(rng, quotient_ranks(steps), 4)
     divisors = []
     for j in range(rng.randint(0, 3)):
@@ -178,9 +173,9 @@ def random_config(rng: random.Random) -> ProblemConfig:
         divisors.append(DivisorClass(d.basis, d.coords, name=f"D{j + 1}"))
     return ProblemConfig(
         curve=CurveInfo(rng.randint(0, 3), "X"),
+        hn_steps=steps,
         flag_ranks=flag,
         divisors=tuple(divisors),
-        **kwargs,
     )
 
 

@@ -81,7 +81,7 @@ CODEC_REFUSALS = {
 }
 
 RANK7 = ProblemConfig(
-    CurveInfo(), summands=None, hn_steps=((1, 8), (2, 10), (5, 10), (6, 6), (7, 1)), flag_ranks=(6, 5, 2, 1)
+    CurveInfo(), hn_steps=((1, 8), (2, 10), (5, 10), (6, 6), (7, 1)), flag_ranks=(6, 5, 2, 1)
 )
 
 

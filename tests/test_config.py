@@ -10,11 +10,8 @@ from hypothesis import strategies as st
 
 from flagcones import (
     Basis,
-    CurveInfo,
     ParseError,
-    ProblemConfig,
     SplitBundle,
-    SummandSpec,
     ValidationError,
     hn_filtration,
     parse_config,
@@ -22,10 +19,10 @@ from flagcones import (
     parse_rational,
     render_machine,
     run,
+    split_steps,
 )
 import flagcones.config as config_module
 from flagcones.config import load_json
-from flagcones.report import filtration_from_config
 
 GOOD = {
     "curve": {"genus": 0, "label": "X"},
@@ -69,13 +66,15 @@ class TestParseRational:
             parse_rational("1/2/3")
         with pytest.raises(ParseError):
             parse_rational(True)
+        with pytest.raises(ParseError):
+            parse_rational(None)
 
 
 class TestParseConfig:
     def test_good_document(self):
         config = parse_config(as_text(GOOD))
         assert config.curve.genus == 0
-        assert filtration_from_config(config) == ((1, 2), (2, 3), (5, 3))
+        assert config.hn_steps == ((1, 2), (2, 3), (5, 3))
         assert config.flag_ranks == (4, 3)
         divisor = config.divisors[0]
         assert divisor.name == "L"
@@ -85,14 +84,12 @@ class TestParseConfig:
     def test_multiplicity_expansion(self):
         data = dict(GOOD)
         data["bundle"] = {"summands": [{"degree": 2, "multiplicity": 3}]}
-        assert filtration_from_config(parse_config(as_text(data))) == ((3, 6),)
+        assert parse_config(as_text(data)).hn_steps == ((3, 6),)
 
     def test_hn_steps_variant(self):
         data = dict(GOOD)
         data["bundle"] = {"hn_steps": [[1, 4], [4, 4], [5, 3]]}
-        config = parse_config(as_text(data))
-        assert config.summands is None
-        assert config.hn_steps == ((1, 4), (4, 4), (5, 3))
+        assert parse_config(as_text(data)).hn_steps == ((1, 4), (4, 4), (5, 3))
 
     def test_divisors_optional(self):
         data = {k: v for k, v in GOOD.items() if k != "divisors"}
@@ -102,6 +99,8 @@ class TestParseConfig:
         data = {k: v for k, v in GOOD.items() if k != "curve"}
         config = parse_config(as_text(data))
         assert (config.curve.genus, config.curve.label) == (0, "X")
+        data["curve"] = {"label": "C"}
+        assert parse_config(as_text(data)).curve.genus == 0
 
     def test_syntax_error_reports_location(self):
         with pytest.raises(ParseError) as info:
@@ -158,12 +157,6 @@ class TestParseConfig:
             parse_config(as_text(data))
         assert str(info.value) == "bundle.summands[0]: multiplicity must be >= 1, got 0"
 
-    def test_multiplicity_below_one_rejected_by_hand(self):
-        with pytest.raises(ValidationError, match="multiplicity must be >= 1, got 0"):
-            SummandSpec(3, 0)
-        with pytest.raises(ValidationError, match="multiplicity must be an integer, got True"):
-            SummandSpec(3, True)
-
     def test_negative_genus(self):
         data = dict(GOOD)
         data["curve"] = {"genus": -1}
@@ -184,29 +177,43 @@ class TestParseConfig:
         with pytest.raises(ValidationError):
             parse_config(as_text(data))
 
-    def test_boolean_degree_rejected(self):
-        data = dict(GOOD)
-        data["bundle"] = {"summands": [{"degree": True}]}
-        with pytest.raises(ParseError):
+    @pytest.mark.parametrize(
+        "part, value, error",
+        [
+            ("bundle", None, "ValidationError: document: missing 'bundle'"),
+            ("bundle", {"summands": [{"multiplicity": 2}]}, "ValidationError: bundle.summands[0]: missing 'degree'"),
+            ("bundle", {"hn_steps": []}, "ValidationError: bundle.hn_steps must not be empty"),
+            ("bundle", {"hn_steps": [[1, 2, 3]]}, "ValidationError: bundle.hn_steps[0]: expected [rank, degree]"),
+            ("flag", {}, "ValidationError: flag: missing 'quotient_ranks'"),
+            ("flag", {"quotient_ranks": []}, "ValidationError: flag.quotient_ranks must not be empty"),
+            ("curve", {"label": 5}, "ParseError: curve.label: expected a string, got 5"),
+        ],
+        ids=[
+            "no-bundle", "summand-without-degree", "no-steps", "three-item-step",
+            "no-ranks", "empty-ranks", "label-not-text",
+        ],
+    )
+    def test_refused_part_message(self, part, value, error):
+        data = {**GOOD, part: value}
+        if value is None:
+            del data[part]
+        with pytest.raises((ParseError, ValidationError)) as info:
             parse_config(as_text(data))
+        assert f"{type(info.value).__name__}: {info.value}" == error
+
+    @pytest.mark.parametrize("key", ["degree", "multiplicity"])
+    def test_boolean_degree_rejected(self, key):
+        data = dict(GOOD)
+        data["bundle"] = {"summands": [{"degree": 1, key: True}]}
+        with pytest.raises(ParseError) as info:
+            parse_config(as_text(data))
+        assert info.value.location == f"bundle.summands[0].{key}"
 
     def test_nonpositive_flag_rank(self):
         data = dict(GOOD)
         data["flag"] = {"quotient_ranks": [0]}
         with pytest.raises(ValidationError):
             parse_config(as_text(data))
-
-
-class TestProblemConfig:
-    @pytest.mark.parametrize(
-        "summands, hn_steps",
-        [(None, None), ((SummandSpec(1, 1), SummandSpec(0, 1)), ((1, 1), (2, 1)))],
-        ids=["neither", "both"],
-    )
-    def test_exactly_one_bundle_form(self, summands, hn_steps):
-        with pytest.raises(ValidationError) as info:
-            ProblemConfig(CurveInfo(), summands, hn_steps, (1,))
-        assert str(info.value) == "bundle must have exactly one of 'summands' or 'hn_steps'"
 
 
 # The messages parse_rational gives for bad coordinate tokens.
@@ -366,7 +373,5 @@ class TestGrouping:
     @given(summand_pairs)
     @settings(max_examples=100, deadline=None)
     def test_counting_equals_expanding(self, pairs):
-        summands = tuple(SummandSpec(d, m) for d, m in pairs)
-        config = ProblemConfig(CurveInfo(), summands, None, (1,))
         expanded = tuple(d for d, m in pairs for _ in range(m))
-        assert filtration_from_config(config) == hn_filtration(SplitBundle(expanded))
+        assert split_steps(pairs) == hn_filtration(SplitBundle(expanded))

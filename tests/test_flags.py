@@ -41,7 +41,7 @@ HN7_B = hn_filtration(SplitBundle((8, 2, 0, 0, 0, -4, -5)))
 
 def model_section(hn, flag):
     """The model section of a cones document for these steps and flag ranks."""
-    config = ProblemConfig(CurveInfo(), summands=None, hn_steps=hn, flag_ranks=tuple(flag))
+    config = ProblemConfig(CurveInfo(), hn_steps=hn, flag_ranks=tuple(flag))
     return run_cones(config).model
 
 

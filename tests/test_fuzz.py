@@ -29,9 +29,10 @@ from flagcones.selftest import random_config
 
 
 def _as_json(config) -> dict:
-    if config.summands is not None:
-        summands = [{"degree": s.degree, "multiplicity": s.multiplicity} for s in config.summands]
-        bundle = {"summands": summands}
+    # graded pieces (rank, degree); a split bundle's are (m, d * m) for m summands of degree d
+    pieces = [(r - q, d - e) for (q, e), (r, d) in zip([(0, 0), *config.hn_steps], config.hn_steps)]
+    if all(degree % rank == 0 for rank, degree in pieces):
+        bundle = {"summands": [{"degree": d // m, "multiplicity": m} for m, d in pieces]}
     else:
         bundle = {"hn_steps": [list(step) for step in config.hn_steps]}
     return {

@@ -59,7 +59,7 @@ def test_nef_cone_of_projective_bundle(seed):
     for _ in range(CASES_PER_SEED):
         steps, mu_min = random_steps(rng)
         genus = rng.randint(0, 5)
-        config = ProblemConfig(CurveInfo(genus, "C"), None, steps, (1,))
+        config = ProblemConfig(CurveInfo(genus, "C"), steps, (1,))
         model = model_from_config(config)
         case = (genus, steps)
 

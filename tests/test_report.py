@@ -19,7 +19,6 @@ from flagcones import (
     ProblemConfig,
     RankNotInHNProfile,
     SemistableBundle,
-    SummandSpec,
     ValidationError,
     builtin_examples,
     parse_machine,
@@ -28,6 +27,7 @@ from flagcones import (
     run,
     run_cones,
     run_hn,
+    split_steps,
 )
 from flagcones.cli import main
 from flagcones.gallery import Digest
@@ -40,15 +40,14 @@ from flagcones.selftest import random_config
 def config_for(degrees, flag, divisors=(), hn_steps=None):
     return ProblemConfig(
         curve=CurveInfo(0, "X"),
-        summands=None if hn_steps else tuple(SummandSpec(d, 1) for d in degrees),
-        hn_steps=hn_steps,
+        hn_steps=hn_steps or split_steps((d, 1) for d in degrees),
         flag_ranks=tuple(flag),
         divisors=tuple(divisors),
     )
 
 
 def with_divisors(config, divisors):
-    return ProblemConfig(config.curve, config.summands, config.hn_steps, config.flag_ranks, divisors)
+    return ProblemConfig(config.curve, config.hn_steps, config.flag_ranks, divisors)
 
 
 RANK7_B = config_for(
@@ -669,7 +668,10 @@ def assert_json_dumps_fixed_point(text):
 
 # Names and labels the emitter must escape as json.dumps does.
 ESCAPED_TEXT = st.text(
-    st.one_of(st.sampled_from('"\\/\x00\x08\x1f\x7f\u00e9\u2028\U0001f600'), st.characters()),
+    st.one_of(
+        st.sampled_from('"\\/\x00\x08\x1f\x7f\u00e9\u2028\U0001f600'),
+        st.characters(codec="utf-8"),
+    ),
     min_size=1,
     max_size=12,
 )
@@ -727,8 +729,7 @@ class TestEmitter:
     def test_escaped_names_and_label(self, label, names):
         config = ProblemConfig(
             curve=CurveInfo(0, label),
-            summands=tuple(SummandSpec(d, 1) for d in (1, 2, 0, 0, 0)),
-            hn_steps=None,
+            hn_steps=split_steps((d, 1) for d in (1, 2, 0, 0, 0)),
             flag_ranks=(4, 3),
             divisors=tuple(DivisorClass(Basis.NEF, (1, 2, 3), name=n) for n in names),
         )
