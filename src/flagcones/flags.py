@@ -241,7 +241,7 @@ def build_model(steps, requested, curve: CurveInfo = CurveInfo()) -> FlagModel:
     return FlagModel(curve, steps, requested)
 
 
-# every unit vector holds these two objects, so a document writes each once
+# every unit vector holds these two objects, so none is built per generator
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
 
@@ -251,14 +251,24 @@ def _basis_unit(gamma: int, position: int) -> tuple[Fraction, ...]:
     return tuple(unit)
 
 
-def _twist_label(i: int, quotient_degree: int) -> str:
-    if quotient_degree == 0:
-        return f"w{i} = H{i}"
-    sign = "-" if quotient_degree > 0 else "+"
-    return f"w{i} = H{i} {sign} {abs(quotient_degree)}*f"
+def _nef_labels(model: FlagModel) -> list[tuple[str, str]]:
+    """The ``(name, label)`` of each nef generator, ``w_i = H_i - t_i*f`` for
+    ``t`` the quotient degrees and then ``f``; with :func:`_curve_labels`,
+    the one place the generators' text is written."""
+    labels = []
+    for i, t in enumerate(model.quotient_degrees, start=1):
+        twist = f" {'-' if t > 0 else '+'} {abs(t)}*f" if t else ""
+        labels.append((f"w{i}", f"w{i} = H{i}{twist}"))
+    return [*labels, ("f", "f = class of a fiber of the projection to the base curve")]
 
 
-FIBER_LABEL = "f = class of a fiber of the projection to the base curve"
+def _curve_labels(model: FlagModel) -> list[tuple[str, str]]:
+    """The ``(name, label)`` of each curve generator, ``line_i`` and then ``section``."""
+    line = "line in a fiber: degree 1 under projection {0}, a point under every other projection"
+    labels = [(f"line{i}", f"line{i} = " + line.format(i)) for i in range(1, model.gamma + 1)]
+    ranks, degrees = (", ".join(map(str, v)) for v in (model.flag_ranks, model.quotient_degrees))
+    section = f"successive quotients of ranks ({ranks}) and degrees ({degrees})"
+    return [*labels, ("section", f"section = image of the base curve under the {section}")]
 
 
 def nef_generators(model: FlagModel) -> tuple[DivisorClass, ...]:
@@ -268,19 +278,10 @@ def nef_generators(model: FlagModel) -> tuple[DivisorClass, ...]:
     ``H_i - t_i * f``; the last generator is the fiber class ``f``.
     """
     gamma = model.gamma
-    generators = [
-        DivisorClass(
-            Basis.NEF,
-            _basis_unit(gamma, i),
-            name=f"w{i + 1}",
-            label=_twist_label(i + 1, model.quotient_degrees[i]),
-        )
-        for i in range(gamma)
-    ]
-    generators.append(
-        DivisorClass(Basis.NEF, _basis_unit(gamma, gamma), name="f", label=FIBER_LABEL)
+    return tuple(
+        DivisorClass(Basis.NEF, _basis_unit(gamma, i), name=name, label=label)
+        for i, (name, label) in enumerate(_nef_labels(model))
     )
-    return tuple(generators)
 
 
 def curve_generators(model: FlagModel) -> tuple[CurveClass, ...]:
@@ -291,30 +292,10 @@ def curve_generators(model: FlagModel) -> tuple[CurveClass, ...]:
     sequence that defines it.
     """
     gamma = model.gamma
-    generators = [
-        CurveClass(
-            _basis_unit(gamma, i),
-            name=f"line{i + 1}",
-            label=(
-                f"line{i + 1} = line in a fiber: degree 1 under projection "
-                f"{i + 1}, a point under every other projection"
-            ),
-        )
-        for i in range(gamma)
-    ]
-    ranks = ", ".join(str(r) for r in model.flag_ranks)
-    degrees = ", ".join(str(t) for t in model.quotient_degrees)
-    generators.append(
-        CurveClass(
-            _basis_unit(gamma, gamma),
-            name="section",
-            label=(
-                "section = image of the base curve under the successive "
-                f"quotients of ranks ({ranks}) and degrees ({degrees})"
-            ),
-        )
+    return tuple(
+        CurveClass(_basis_unit(gamma, i), name=name, label=label)
+        for i, (name, label) in enumerate(_curve_labels(model))
     )
-    return tuple(generators)
 
 
 def pairing(curve: CurveClass, divisor: DivisorClass) -> Fraction:

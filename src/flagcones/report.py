@@ -32,28 +32,15 @@ from .flags import (
     FlagModel,
     build_model,
     Positivity,
+    _curve_labels,
+    _nef_labels,
     _positivity,
-    curve_generators,
     pairing_matrix,
     to_nef,
 )
 from .records import field, fields, record
 
 SPEC_VERSION = 1
-
-@record
-class DivisorGeneratorInfo:
-    name: str
-    label: str
-    nef: tuple[Fraction, ...]
-    pluecker: tuple[Fraction, ...]
-
-
-@record
-class CurveGeneratorInfo:
-    name: str
-    label: str
-    coords: tuple[Fraction, ...]
 
 
 def _identity_mismatch(matrix, size: int) -> str:
@@ -68,21 +55,26 @@ def _identity_mismatch(matrix, size: int) -> str:
     return ""
 
 
-@record
-class ConesSection:
-    nef_generators: tuple[DivisorGeneratorInfo, ...]
-    curve_generators: tuple[CurveGeneratorInfo, ...]
-    pairing_matrix: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self):
-        size = len(self.curve_generators)
-        sizes = {len(self.nef_generators), *(len(c.coords) for c in self.curve_generators)}
-        sizes.update(len(v) for g in self.nef_generators for v in (g.nef, g.pluecker))
-        problem = _identity_mismatch(self.pairing_matrix, size)
-        if not problem and sizes != {size}:
-            problem = f"expected {size} nef generators and {size} coordinates per generator"
-        if problem:
-            raise ValidationError(problem)
+def _cones_section(model: FlagModel) -> dict:
+    """The ``cones`` section as JSON data, in closed form: ``w_i`` is ``e_i``
+    in the nef basis and ``(e_i, -t_i)`` in the pluecker basis for ``t`` the
+    quotient degrees, ``f`` and the curve generators are unit vectors, and
+    the pairing matrix is the identity.  The unit lists are shared."""
+    size = model.picard_rank
+    units = [[0] * i + [1] + [0] * (size - 1 - i) for i in range(size)]
+    nef, curves = _nef_labels(model), _curve_labels(model)
+    lasts = (*[-t for t in model.quotient_degrees], 1)
+    return {
+        "nef_generators": [
+            {"name": name, "label": label, "nef": unit, "pluecker": [*unit[:-1], last]}
+            for (name, label), unit, last in zip(nef, units, lasts)
+        ],
+        "curve_generators": [
+            {"name": name, "label": label, "coords": unit}
+            for (name, label), unit in zip(curves, units)
+        ],
+        "pairing_matrix": units,
+    }
 
 
 @record
@@ -102,7 +94,7 @@ class DivisorEntry:
     ``classification`` is derived: None without ``nef_coords``, ``not_nef``
     without a Seshadri record, else the position of its lower bound, the
     least nef-basis coordinate.  ``nef_coords`` repeats ``coords`` but for
-    a pluecker class's last coordinate, which needs the model's twist.
+    a pluecker class's last coordinate (the model's twist), and fixes the bounds.
     """
 
     name: str
@@ -132,31 +124,35 @@ class DivisorEntry:
                 raise ValidationError("a NotNef error goes with nef_coords and only with them")
         elif classification in (None, _NOT_NEF):
             raise ValidationError("a seshadri record needs a nef class")
+        elif (report.lower, report.upper) != sesh._bounds(nef):
+            raise ValidationError("seshadri bounds do not follow from nef_coords")
 
 
 @record
 class ReportDocument:
-    """A machine document.  The sections must agree with the model: the
-    witnesses are those of its flag ranks and filtration steps, and the
-    cones have one curve generator per Picard rank."""
+    """A machine document.  ``cones`` is derived, the :func:`_cones_section` of
+    a model with flag ranks.  The other sections must agree with the model: the
+    witnesses are those of its flag ranks and steps, divisors come with an
+    assumption, and each rule is the one its bounds and ``assumption.holds`` give."""
 
     spec_version: int
     model: FlagModel
-    cones: Optional[ConesSection] = None
+    cones: Optional[dict[str, list]] = field(init=False, hash=False)  # a dict cannot be hashed
     assumption: Optional[sesh.DivisibilityStatus] = None
     divisors: Optional[tuple[DivisorEntry, ...]] = None
 
     def __post_init__(self):
-        model = self.model
-        if self.cones is not None and len(self.cones.curve_generators) != model.picard_rank:
-            raise ValidationError(
-                f"{len(self.cones.curve_generators)} curve generators for picard rank "
-                f"{model.picard_rank}"
-            )
-        if self.assumption is not None:
+        model, status = self.model, self.assumption
+        object.__setattr__(self, "cones", _cones_section(model) if model.flag_ranks else None)
+        if status is not None:
             expected = sesh.divisibility_witnesses(model.hn_steps, model.flag_ranks or ())
-            if self.assumption.witnesses != expected:
+            if status.witnesses != expected:
                 raise ValidationError("assumption witnesses do not follow from the model")
+        if self.divisors is not None and status is None:
+            raise ValidationError("divisors need an assumption section")
+        for i, s in enumerate(entry.seshadri for entry in self.divisors or ()):
+            if s and (rule := s.general_rule) != sesh._general_rule(s.lower, s.upper, status.holds):
+                raise ValidationError(f"divisors[{i}]: rule {rule!r} does not fit the assumption")
 
 
 # ---------------------------------------------------------------------------
@@ -167,21 +163,11 @@ def model_from_config(config: ProblemConfig) -> FlagModel:
     return build_model(config.hn_steps, config.flag_ranks, config.curve)
 
 
-def assert_duality(model: FlagModel) -> ConesSection:
-    """The cone generators and their pairing matrix, which
-    :class:`ConesSection` requires to be the identity; a model that breaks
-    that raises :class:`InternalCheckFailure` with the same message."""
-    matrix, generators = pairing_matrix(model)
-    divisor_infos = tuple(
-        DivisorGeneratorInfo(g.name, g.label, g.coords, p.coords) for g, p in generators
-    )
-    curve_infos = tuple(
-        CurveGeneratorInfo(c.name, c.label, c.coords) for c in curve_generators(model)
-    )
-    try:
-        return ConesSection(divisor_infos, curve_infos, matrix)
-    except ValidationError as exc:
-        raise InternalCheckFailure(str(exc)) from None
+def assert_duality(model: FlagModel) -> None:
+    """Raise :class:`InternalCheckFailure` unless the curve generators pair
+    with the nef generators as the identity matrix (:func:`pairing_matrix`)."""
+    if problem := _identity_mismatch(pairing_matrix(model)[0], model.picard_rank):
+        raise InternalCheckFailure(problem)
 
 
 def _divisor_entry(
@@ -207,7 +193,8 @@ def run_hn(config: ProblemConfig) -> ReportDocument:
 def run_cones(config: ProblemConfig) -> ReportDocument:
     """Model plus cone generators and the (verified) pairing matrix."""
     model = model_from_config(config)
-    return ReportDocument(SPEC_VERSION, model, assert_duality(model))
+    assert_duality(model)
+    return ReportDocument(SPEC_VERSION, model)
 
 
 def run(config: ProblemConfig) -> ReportDocument:
@@ -220,7 +207,8 @@ def run(config: ProblemConfig) -> ReportDocument:
     model = model_from_config(config)
     status = sesh.check_divisibility(model)
     entries = tuple(_divisor_entry(divisor, model, status) for divisor in config.divisors)
-    return ReportDocument(SPEC_VERSION, model, assert_duality(model), status, entries)
+    assert_duality(model)
+    return ReportDocument(SPEC_VERSION, model, status, entries)
 
 
 def worst_exit_code(doc: ReportDocument) -> int:
@@ -242,8 +230,8 @@ def worst_exit_code(doc: ReportDocument) -> int:
 # ``init=False`` is derived: written, and on read it must equal the derived value.  A type's
 # ``emit(value, pad, texts, out)`` appends to ``out`` the pieces of what
 # ``json.dumps(..., indent=2)`` would write, with ``pad`` the newline and
-# indent its value starts on and ``texts`` the rationals and notes written in
-# this document; the pieces are joined once per document.
+# indent its value starts on and ``texts`` the rationals and JSON data written
+# in this document; the pieces are joined once per document.
 # ``decode(data, memo)`` reads it back, with ``memo`` the rationals decoded
 # from this document.
 
@@ -331,26 +319,54 @@ def _decode_items(value, decoders, size: Optional[int], memo: dict) -> tuple:
         raise
 
 
-def _decode_notes(value, memo=None) -> dict[str, str]:
-    for key, text in _checked(dict, value).items():
-        if type(text) is not str or not (key.isascii() and text.isascii()):
-            _decode_text(key)
-            try:
-                _decode_text(text)
-            except ParseError as exc:
-                raise _at(exc, key) from None
+def _json_text(value, pad: str, texts: dict) -> str:
+    """JSON data (mappings, arrays, ints and strings) as ``json.dumps`` writes
+    it, indented from ``pad``; each mapping or array is written once per
+    object and indent, and kept in ``texts`` by ``id`` like a rational."""
+    if type(value) in _WRITERS:
+        return _WRITERS[type(value)](value)
+    if (text := texts.get(key := (id(value), pad))) is None:
+        inner = pad + "  "
+        if type(value) is not list:
+            write = _WRITERS[str]
+            items = [f"{write(k)}: {_json_text(v, inner, texts)}" for k, v in value.items()]
+        elif {int}.issuperset(map(type, value)):  # one join per array of ints
+            items = list(map(int.__repr__, value))
+        else:
+            items = [_json_text(item, inner, texts) for item in value]
+        text = texts[key] = _block("[]" if type(value) is list else "{}", items, pad)
+    return text
+
+
+def _decode_json(value, memo=None):
+    """JSON data as read, in one scan that refuses any scalar but an int or a
+    string: ``true`` and ``1.0`` would compare equal to ``1``."""
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        kind = type(item)
+        if kind is dict or kind is list:
+            items = item.values() if kind is dict else item
+            if not {int, str}.issuperset(map(type, items)):
+                stack += reversed(items)  # popped in document order
+        elif kind is not int and kind is not str:
+            raise ParseError(f"expected int or str, got {kind.__name__}", _where(value, value))
     return value
 
 
-def _emit_notes(value: Mapping[str, str], pad: str, texts: dict, out: list) -> None:
-    """A notes mapping as one piece, written once per object and indent: the
-    notes of a :class:`~flagcones.seshadri.SeshadriReport` are one mapping per
-    rule, so a document writes each block once."""
-    key = (id(value), pad)
-    if (text := texts.get(key)) is None:
-        write = encode_basestring_ascii
-        text = texts[key] = _block("{}", [f"{write(k)}: {write(v)}" for k, v in value.items()], pad)
-    out.append(text)
+def _where(read, own, path: str = "") -> Optional[str]:
+    """The path of the first difference of JSON data ``read`` from ``own`` in keys,
+    length, type or value, or of a scalar but an int or a string; it does not recurse."""
+    stack = [(path, read, own)]
+    while stack:
+        path, read, own = stack.pop()
+        if type(read) is dict and isinstance(own, Mapping) and list(read) == list(own):
+            stack += reversed([(f"{path}.{key}", item, own[key]) for key, item in read.items()])
+        elif type(read) is list and type(own) is list and len(read) == len(own):
+            stack += reversed([(f"{path}[{i}]", *pair) for i, pair in enumerate(zip(read, own))])
+        elif not (type(read) is type(own) in (int, str) and read == own):
+            return path
+    return None
 
 
 def _block(brackets: str, items: list[str], pad: str) -> str:
@@ -410,7 +426,8 @@ def _record(cls):
         for i, key, name in derived:
             read, own = items[i], getattr(record, name)  # a mapping must match in key order too
             if read is not own and (read != own or type(read) is dict and list(read) != list(own)):
-                raise ParseError(f"{key} does not follow from the other fields")
+                where = _where(read, own, f".{key}") if dict in (type(read), type(own)) else None
+                raise ParseError(f"{key} does not follow from the other fields", where)
         return record
 
     return emit, decode
@@ -421,8 +438,8 @@ def _codec(tp):
     """``(emit, decode)`` for one document type, compiled once.
 
     Supported: ``Fraction``, ``int``, ``str``, ``bool``, records,
-    ``Optional[X]``, ``tuple[X, ...]``, ``dict[str, str]`` or
-    ``Mapping[str, str]``, and fixed tuples.
+    ``Optional[X]``, ``tuple[X, ...]``, fixed tuples, and ``dict[str, X]``
+    or ``Mapping[str, X]`` for JSON data of mappings, lists, ints and strings.
     """
     if tp is Fraction:
         return _emit_fraction, _decode_once(_decode_fraction)
@@ -442,7 +459,7 @@ def _codec(tp):
             lambda value, memo: None if value is None else decode(value, memo),
         )
     if origin in (dict, Mapping):
-        return _emit_notes, _decode_notes
+        return (lambda v, pad, texts, out: out.append(_json_text(v, pad, texts))), _decode_json
     variadic = args[-1] is Ellipsis
     items = args[:1] if variadic else args
     emitters, decoders = zip(*map(_codec, items))
@@ -541,23 +558,18 @@ def _render_model(m: FlagModel) -> list[str]:
     return lines
 
 
-def _render_cones(c: ConesSection) -> list[str]:
-    lines = ["cones", "  nef generators"]
-    name_width = max(len(g.name) for g in c.nef_generators)
-    for g in c.nef_generators:
-        lines.append(
-            f"    {g.name.ljust(name_width)}  nef {_fmt_tuple(g.nef)}"
-            f"  pluecker {_fmt_tuple(g.pluecker)}  [{g.label}]"
-        )
-    lines.append("  curve generators")
-    name_width = max(len(g.name) for g in c.curve_generators)
-    for g in c.curve_generators:
-        lines.append(
-            f"    {g.name.ljust(name_width)}  {_fmt_tuple(g.coords)}  [{g.label}]"
-        )
+def _render_cones(c: dict) -> list[str]:
+    lines = ["cones"]
+    for key, shown in (
+        ("nef_generators", lambda g: f"nef {_fmt_tuple(g['nef'])}"
+                                     f"  pluecker {_fmt_tuple(g['pluecker'])}"),
+        ("curve_generators", lambda g: _fmt_tuple(g["coords"])),
+    ):
+        width = max(len(g["name"]) for g in c[key])
+        lines.append("  " + key.replace("_", " "))
+        lines += [f"    {g['name'].ljust(width)}  {shown(g)}  [{g['label']}]" for g in c[key]]
     lines.append("  pairing matrix (curve generators x nef generators)")
-    for row in c.pairing_matrix:
-        lines.append("    " + " ".join(str(v) for v in row))
+    lines += ["    " + " ".join(str(v) for v in row) for row in c["pairing_matrix"]]
     return lines
 
 

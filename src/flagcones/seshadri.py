@@ -164,8 +164,7 @@ def seshadri_bounds(
     is one of the coordinate objects itself.
     """
     coords = to_nef(divisor, model).coords
-    upper = _least(coords[:-1])
-    lower = _least((upper, coords[-1]))
+    lower, upper = _bounds(coords)
     if _positivity(lower) is Positivity.NOT_NEF:
         raise NotNef(
             "Seshadri constants are defined here only for nef classes; "
@@ -173,6 +172,12 @@ def seshadri_bounds(
             "have a negative entry"
         )
     return lower, upper
+
+
+def _bounds(coords) -> tuple[Fraction, Fraction]:
+    """``(min(a_1..a_g, b), min(a_1..a_g))`` of nef coordinates, as coordinate objects."""
+    upper = _least(coords[:-1])
+    return _least((upper, coords[-1])), upper
 
 
 def _general_rule(lower: Fraction, upper: Fraction, holds: bool) -> str:

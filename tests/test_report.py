@@ -1,4 +1,5 @@
 import copy
+import inspect
 import itertools
 import json
 import pickle
@@ -21,6 +22,8 @@ from flagcones import (
     SemistableBundle,
     ValidationError,
     builtin_examples,
+    curve_generators,
+    pairing_matrix,
     parse_machine,
     render_human,
     render_machine,
@@ -71,7 +74,6 @@ ILL_TYPED = {
     "model.curve": lambda d: d["model"]["curve"].__setitem__("genus", -1),
     "divisors[0].seshadri": lambda d: d["divisors"][0]["seshadri"].__setitem__("lower", 5),
     "assumption": lambda d: d["assumption"].__setitem__("holds", not d["assumption"]["holds"]),
-    "cones": lambda d: d["cones"]["pairing_matrix"][0].__setitem__(1, 7),
 }
 
 # Rationals parse_machine must refuse at model.slope: each reads as a
@@ -79,12 +81,15 @@ ILL_TYPED = {
 NON_CANONICAL = [" 2/14 ", "4/2", "+3/5", "3", "3/1", "0/5", "1\u0660/7"]
 
 REJECTED = [pytest.param(location, mutate, id=location) for location, mutate in ILL_TYPED.items()]
-REJECTED += [pytest.param("cones", lambda d: d["cones"]["pairing_matrix"].pop(), id="cones-not-square")]
+REJECTED += [
+    pytest.param("cones.pairing_matrix[0][1]", lambda d: d["cones"]["pairing_matrix"][0].__setitem__(1, 7), id="cones"),
+    pytest.param("cones.pairing_matrix", lambda d: d["cones"]["pairing_matrix"].pop(), id="cones-not-square"),
+]
 # RANK7_B has five cone generators of each kind, so these identities are
 # square but of the wrong size.
 REJECTED += [
     pytest.param(
-        "cones",
+        "cones.pairing_matrix",
         lambda d, n=n: d["cones"].__setitem__(
             "pairing_matrix", [[int(i == j) for j in range(n)] for i in range(n)]
         ),
@@ -106,6 +111,17 @@ def first_witness(d):
     return d["assumption"]["witnesses"][0]
 
 
+def equal_bounds(value):
+    return json.loads(emit(SeshadriReport(Fraction(value), Fraction(value), "constant_case")))
+
+
+def open_beside_holds(d):
+    # a class whose bounds 1 < 2 follow from its coordinates, with the open
+    # rule, beside an assumption that holds
+    record = json.loads(emit(SeshadriReport(Fraction(1), Fraction(2), "open")))
+    d["divisors"][0].update(coords=[2, 2, 2, 2, 1], nef_coords=[2, 2, 2, 2, 1], seshadri=record)
+
+
 def unmatched_not_divisible(d):
     # a consistent witness with no step, but its failure says not_divisible
     first_witness(d).update(hn_index=None, subbundle_degree=None, divisible=None)
@@ -117,9 +133,12 @@ def unmatched_not_divisible(d):
 CONTRADICTIONS = {
     "global-beside-lower": ("divisors[0].seshadri", lambda d: seshadri_of(d).update({"global": "7/3"})),
     "open-with-equal-bounds": ("divisors[0].seshadri", lambda d: seshadri_of(d).update(general_rule="open")),
-    "edited-general-note": ("divisors[0].seshadri", lambda d: seshadri_of(d)["notes"].update(general="x")),
+    "edited-general-note": (
+        "divisors[0].seshadri.notes.general",
+        lambda d: seshadri_of(d)["notes"].update(general="x"),
+    ),
     "reordered-notes": (
-        "divisors[0].seshadri",
+        "divisors[0].seshadri.notes",
         lambda d: seshadri_of(d).update(notes=dict(reversed(seshadri_of(d)["notes"].items()))),
     ),
     "divisible-without-step": (
@@ -128,8 +147,26 @@ CONTRADICTIONS = {
     ),
     "not-divisible-without-step": ("assumption", unmatched_not_divisible),
     "step-without-degree": ("assumption.witnesses[0]", lambda d: first_witness(d).update(subbundle_degree=None)),
-    "nef-generator-removed": ("cones", lambda d: d["cones"]["nef_generators"].pop()),
-    "nef-coordinates-cut": ("cones", lambda d: d["cones"]["nef_generators"][0].update(nef=[1])),
+    "nef-generator-removed": ("cones.nef_generators", lambda d: d["cones"]["nef_generators"].pop()),
+    "nef-coordinates-cut": ("cones.nef_generators[0].nef", lambda d: d["cones"]["nef_generators"][0].update(nef=[1])),
+    # the twist -t_1 = 7 of w1 = H1 + 7*f
+    "pluecker-twist-edited": (
+        "cones.nef_generators[0].pluecker[4]",
+        lambda d: d["cones"]["nef_generators"][0]["pluecker"].__setitem__(-1, 100),
+    ),
+    "generator-label-rewritten": (
+        "cones.nef_generators[0].label",
+        lambda d: d["cones"]["nef_generators"][0].update(label="w1 = H1"),
+    ),
+    "section-label-rewritten": (
+        "cones.curve_generators[4].label",
+        lambda d: d["cones"]["curve_generators"][-1].update(label="section"),
+    ),
+    "cones-keys-reordered": ("cones", lambda d: d.update(cones=dict(reversed(d["cones"].items())))),
+    "flagged-model-without-cones": ("cones", lambda d: d.update(cones=None)),
+    "bounds-off-the-nef-coords": ("divisors[0]", lambda d: d["divisors"][0].update(seshadri=equal_bounds(2))),
+    "rule-off-the-assumption": ("document", open_beside_holds),
+    "divisors-without-assumption": ("document", lambda d: d.update(assumption=None)),
 }
 REJECTED += [pytest.param(*case, id=name) for name, case in CONTRADICTIONS.items()]
 
@@ -203,9 +240,9 @@ DERIVED = {
     "model-subspace-dims": ("model", lambda d: d["model"]["subspace_dims"].__setitem__(0, 2)),
     "model-picard-rank": ("model", lambda d: d["model"].update(picard_rank=4)),
     "model-total-dimension": ("model", lambda d: d["model"].update(total_dimension=1)),
-    "model-note-edited": ("model", lambda d: d["model"]["notes"].update(dimensions="x")),
-    "model-note-added": ("model", lambda d: d["model"]["notes"].update(extra="x")),
-    "model-note-emptied": ("model", lambda d: d["model"].update(notes={})),
+    "model-note-edited": ("model.notes.dimensions", lambda d: d["model"]["notes"].update(dimensions="x")),
+    "model-note-added": ("model.notes", lambda d: d["model"]["notes"].update(extra="x")),
+    "model-note-emptied": ("model.notes", lambda d: d["model"].update(notes={})),
     "fiber-without-flag": ("model", without_flag_but_fiber),
     "model-without-steps": ("model", lambda d: d["model"].update(hn_steps=[])),
     "classification-flipped": ("divisors[0]", lambda d: d["divisors"][0].update(classification="not_nef")),
@@ -214,7 +251,7 @@ DERIVED = {
     "seshadri-and-error-null": ("divisors[0]", lambda d: d["divisors"][0].update(seshadri=None)),
     "seshadri-below-zero": ("divisors[0]", below_zero),
     "witness-off-the-flag": ("document", lambda d: first_witness(d).update(index=7, flag_rank=3)),
-    "cones-off-the-picard-rank": ("document", cones_one_size_smaller),
+    "cones-off-the-picard-rank": ("cones.nef_generators", cones_one_size_smaller),
     "model-hn-index": ("model", lambda d: d["model"]["hn_indices"].__setitem__(0, 2)),
     "model-quotient-rank": ("model", lambda d: d["model"]["quotient_ranks"].__setitem__(0, 5)),
     "model-quotient-degree": ("model", lambda d: d["model"]["quotient_degrees"].__setitem__(0, -6)),
@@ -441,14 +478,23 @@ class TestRun:
         doc = run_cones(config_for((1, 2, 0, 0, 0), (4, 3)))
         assert doc.cones is not None
         assert doc.assumption is None
-        names = [g.name for g in doc.cones.nef_generators]
+        names = [g["name"] for g in doc.cones["nef_generators"]]
         assert names == ["w1", "w2", "f"]
-        size = len(doc.cones.pairing_matrix)
-        assert all(
-            doc.cones.pairing_matrix[i][j] == (1 if i == j else 0)
-            for i in range(size)
-            for j in range(size)
-        )
+        assert doc.cones["pairing_matrix"] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+    def test_cones_are_the_generators_in_both_bases(self):
+        # the closed form against the generators, their pluecker coordinates
+        # by convert_basis and the pairing matrix computed from those
+        for config in [fixture.config for fixture in builtin_examples()] + [MIXED, RANK7_B]:
+            model = model_from_config(config)
+            matrix, pairs = pairing_matrix(model)
+            nef = [
+                {"name": g.name, "label": g.label, "nef": list(g.coords), "pluecker": list(p.coords)}
+                for g, p in pairs
+            ]
+            curves = [{"name": c.name, "label": c.label, "coords": list(c.coords)} for c in curve_generators(model)]
+            expected = {"nef_generators": nef, "curve_generators": curves, "pairing_matrix": list(map(list, matrix))}
+            assert run_cones(config).cones == run(config).cones == expected
 
     def test_determinism(self):
         a = render_machine(run(RANK7_B))
@@ -530,7 +576,12 @@ class TestMachineFormat:
             ("divisible-without-step", "divisible does not follow from the other fields"),
             ("not-divisible-without-step", "failures does not follow from the other fields"),
             ("step-without-degree", "hn_index and subbundle_degree must be both set or both null"),
-            ("nef-generator-removed", "expected 5 nef generators and 5 coordinates per generator"),
+            ("nef-generator-removed", "cones does not follow from the other fields"),
+            ("pluecker-twist-edited", "cones does not follow from the other fields"),
+            ("flagged-model-without-cones", "cones does not follow from the other fields"),
+            ("bounds-off-the-nef-coords", "seshadri bounds do not follow from nef_coords"),
+            ("rule-off-the-assumption", "divisors[0]: rule 'open' does not fit the assumption"),
+            ("divisors-without-assumption", "divisors need an assumption section"),
             ("model-rank", "rank does not follow from the other fields"),
             ("fiber-without-flag", "fiber_dimension does not follow from the other fields"),
             ("model-hn-index", "hn_indices does not follow from the other fields"),
@@ -553,7 +604,7 @@ class TestMachineFormat:
             ("seshadri-and-error-null", "exactly one of seshadri and error must be set"),
             ("seshadri-below-zero", "a seshadri record needs a nef class"),
             ("witness-off-the-flag", "assumption witnesses do not follow from the model"),
-            ("cones-off-the-picard-rank", "4 curve generators for picard rank 5"),
+            ("cones-off-the-picard-rank", "cones does not follow from the other fields"),
         ],
     )
     def test_contradiction_message(self, name, message):
@@ -598,7 +649,7 @@ class TestMachineFormat:
         written = ["1/7", "1/14", "3/7", "3/14", "10/7"]
         assert accepted == written + ["-" + token for token in written]
 
-    # Equal to the 1 decoded at pairing_matrix[0][0] as dict keys, but
+    # Equal to the 1 decoded at divisors[0].coords[0] as dict keys, but
     # neither is a rational the codec writes.
     @pytest.mark.parametrize(
         "token, message",
@@ -609,14 +660,45 @@ class TestMachineFormat:
     )
     def test_token_equal_to_an_earlier_one_rejected(self, token, message):
         data = json.loads(render_machine(run(RANK7_B)))
-        assert data["cones"]["pairing_matrix"][0][0] == 1
-        data["cones"]["pairing_matrix"][1][1] = token
+        assert data["divisors"][0]["coords"][0] == 1
+        data["divisors"][0]["nef_coords"][1] = token
         with pytest.raises(ParseError) as excinfo:
             parse_machine(json.dumps(data))
         assert (excinfo.value.location, excinfo.value.message) == (
-            "cones.pairing_matrix[1][1]",
+            "divisors[0].nef_coords[1]",
             message,
         )
+
+    # The cones section is JSON data checked against the model, where all but
+    # null would compare equal to the 1 or 0 they replace.
+    @pytest.mark.parametrize("token", [1.0, True, 0.0, False, None])
+    def test_cones_scalar_of_another_type_rejected(self, token):
+        data = json.loads(render_machine(run(RANK7_B)))
+        location = f"cones.pairing_matrix[1][{int(token == 1)}]"
+        data["cones"]["pairing_matrix"][1][int(token == 1)] = token
+        with pytest.raises(ParseError) as excinfo:
+            parse_machine(json.dumps(data))
+        message = f"expected int or str, got {type(token).__name__}"
+        assert (excinfo.value.location, excinfo.value.message) == (location, message)
+
+    def test_deeply_nested_json_data_is_located(self):
+        # nested as deep as the loader reads, past where a recursive walk stops
+        depth = sys.getrecursionlimit() - len(inspect.stack(0)) - 50
+        data = json.loads(render_machine(run(RANK7_B)))
+        data["cones"]["pairing_matrix"][0] = "deep"
+        text = json.dumps(data).replace('"deep"', "[" * depth + "true" + "]" * depth)
+        with pytest.raises(ParseError) as excinfo:
+            parse_machine(text)
+        location = "cones.pairing_matrix[0]" + "[0]" * depth
+        assert (excinfo.value.location, excinfo.value.message) == (location, "expected int or str, got bool")
+
+    def test_cones_beside_a_model_without_flag_rejected(self):
+        config = config_for((1, 2, 0, 0, 0), (4, 3))
+        data = json.loads(render_machine(run_hn(config)))
+        data["cones"] = json.loads(render_machine(run_cones(config)))["cones"]
+        with pytest.raises(ParseError) as excinfo:
+            parse_machine(json.dumps(data))
+        assert (excinfo.value.location, excinfo.value.message) == ("cones", "cones does not follow from the other fields")
 
     def test_rational_tokens_decoded_once_per_document(self):
         text = render_machine(run(RANK7_B))
@@ -694,6 +776,19 @@ class TestEmitter:
     def test_cli_payloads(self, argv, capsys):
         assert main(argv) == 0
         assert_json_dumps_fixed_point(capsys.readouterr().out)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"a": [1, -2, "x"], "b": {}, "c": [], "d": [[], [{"e": "\u00e9"}]]},
+            {"nested": {"deeper": {"list": [[0, 1], [1, 0]]}}},
+            {},
+        ],
+    )
+    def test_json_data_as_json_dumps(self, data):
+        text = emit(data, dict[str, list])
+        assert text == json.dumps(data, indent=2)
+        assert from_json(dict[str, list], json.loads(text)) == data
 
     def test_int_in_fraction_field(self):
         # A caller may build a document with ints where Fractions are typed.

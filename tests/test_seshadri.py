@@ -208,6 +208,10 @@ class TestDerivedFields:
         with pytest.raises(ValidationError, match="does not fit bounds"):
             SeshadriReport(lower, upper, rule)
 
+    def test_lower_must_not_exceed_upper(self):
+        with pytest.raises(ValidationError, match="^lower bound 3 exceeds upper bound 1$"):
+            SeshadriReport(3, 1, "open")
+
     def test_witness_divisibility(self):
         assert Witness(1, 4, 2, 8).divisible is True
         assert Witness(1, 4, 2, 1).divisible is False
@@ -245,6 +249,11 @@ class TestRatio:
     def test_zero_multiplicity(self):
         with pytest.raises(ZeroMultiplicity):
             seshadri_ratio(CurveClass((1, 0, 0)), DivisorClass(Basis.NEF, (1, 1, 1)), 0)
+
+    @pytest.mark.parametrize("multiplicity", [True, 1.5, Fraction(1)])
+    def test_multiplicity_must_be_an_int(self, multiplicity):
+        with pytest.raises(ValidationError, match="^multiplicity must be an integer, got "):
+            seshadri_ratio(CurveClass((1, 0, 0)), DivisorClass(Basis.NEF, (1, 1, 1)), multiplicity)
 
     def test_basis_guard(self):
         with pytest.raises(BasisMismatch):
